@@ -52,10 +52,9 @@ std::optional<support::Json> CellStore::load(const std::string& hash) const {
   }
   const auto schema = cell.at("schema_version").as_int();
   if (schema != kSchemaVersion) {
-    throw InvalidArgument("artifact cell " + path.string() +
-                          " has schema version " + support::dec(schema) +
-                          ", this build expects " +
-                          support::dec(kSchemaVersion));
+    throw StaleCell("artifact cell " + path.string() + " has schema version " +
+                    support::dec(schema) + ", this build expects " +
+                    support::dec(kSchemaVersion));
   }
   return cell;
 }

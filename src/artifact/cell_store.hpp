@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 
+#include "support/error.hpp"
 #include "support/json.hpp"
 
 namespace srm::artifact {
@@ -22,7 +23,14 @@ namespace srm::artifact {
 /// Artifact directory schema version; bumped on any layout or
 /// serialization change so stale directories fail loudly instead of being
 /// misread.
-inline constexpr std::int64_t kSchemaVersion = 1;
+inline constexpr std::int64_t kSchemaVersion = 2;
+
+/// A well-formed cell written under another kSchemaVersion: this build
+/// must not read it, but it is not corrupt either (CellStore::load).
+class StaleCell : public InvalidArgument {
+ public:
+  using InvalidArgument::InvalidArgument;
+};
 
 /// Library identity stamped into manifests.
 inline constexpr const char* kLibraryVersion = "bayes-srm 0.5.0";
@@ -47,7 +55,8 @@ class CellStore {
 
   /// Loads and validates the envelope for `hash`, or nullopt if no such
   /// cell file exists. Throws srm::InvalidArgument when the file's "hash"
-  /// member disagrees with its name or its schema version is foreign.
+  /// member disagrees with its name, and StaleCell (a subclass) when its
+  /// schema version is foreign.
   [[nodiscard]] std::optional<support::Json> load(
       const std::string& hash) const;
 

@@ -19,6 +19,17 @@ namespace srm::core {
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
+// Floor on the detected fraction 1 - Q in the NB thinning map. Where every
+// p_i is tiny, log q_i carries absolute rounding error that 1 - Q cannot
+// resolve, and the (1-Q)^{-(s_k-1)} factor of the collapsed zeta density
+// would amplify it without bound; the posterior mass below the floor is of
+// order the floor itself.
+constexpr double kMinDetected = 1e-9;
+
+double detected_fraction(double survival) {
+  return std::max(1.0 - survival, kMinDetected);
+}
+
 // Keeps initial draws strictly inside an open support.
 double interior_uniform(random::Rng& rng, double lo, double hi) {
   const double margin = 0.05 * (hi - lo);
@@ -105,11 +116,22 @@ void BayesianSrm::update_with(std::vector<double>& state, random::Rng& rng,
   if (config_.scheme == SamplerScheme::kCollapsed) {
     // R is integrated out of the zeta and hyperparameter conditionals and
     // re-drawn exactly at the end of the scan, eliminating the R-scale
-    // coupling that slows the vanilla scheme.
-    update_zeta_collapsed(state, rng, ws);
-    update_hyperparameters_collapsed(state, rng, ws);
+    // coupling that slows the vanilla scheme. The NB zeta block moves at
+    // fixed thinned success probability beta' (DESIGN.md), so beta0 is
+    // mapped out before it and back after it; one survival product at the
+    // final zeta serves the map-back, the hyperparameters and R.
     const auto zeta = std::span<const double>(state).subspan(zeta_offset());
-    update_residual(state, rng, stable_survival(zeta, ws));
+    double thinned = 0.0;
+    if (prior_ == PriorKind::kNegativeBinomial) {
+      thinned = thinned_beta(state[2], stable_survival(zeta, ws));
+    }
+    update_zeta_collapsed(state, rng, ws, thinned);
+    const double survival = stable_survival(zeta, ws);
+    if (prior_ == PriorKind::kNegativeBinomial) {
+      state[2] = unthinned_beta(thinned, survival);
+    }
+    update_hyperparameters_collapsed(state, rng, survival);
+    update_residual(state, rng, survival);
   } else {
     const auto zeta = std::span<const double>(state).subspan(zeta_offset());
     update_residual(state, rng, stable_survival(zeta, ws));
@@ -217,10 +239,43 @@ void BayesianSrm::update_zeta(std::vector<double>& state, random::Rng& rng,
   }
 }
 
-void BayesianSrm::update_hyperparameters_collapsed(
-    std::vector<double>& state, random::Rng& rng, Workspace& ws) const {
-  const auto zeta = std::span<const double>(state).subspan(zeta_offset());
-  const double survival = stable_survival(zeta, ws);
+double BayesianSrm::thinned_beta(double beta0, double survival) {
+  return beta0 / (beta0 + (1.0 - beta0) * detected_fraction(survival));
+}
+
+double BayesianSrm::unthinned_beta(double thinned, double survival) {
+  const double detected = detected_fraction(survival);
+  return std::clamp(thinned * detected / ((1.0 - thinned) + thinned * detected),
+                    1e-12, 1.0 - 1e-12);
+}
+
+double BayesianSrm::collapsed_log_density(double base, double log_survival,
+                                          double thinned) const {
+  const double s_k = static_cast<double>(data_.total());
+  const double survival =
+      std::isfinite(log_survival) ? std::exp(log_survival) : 0.0;
+  if (prior_ == PriorKind::kPoisson) {
+    // lambda0 is integrated out as well (its conditional is a truncated
+    // gamma, so the normalizer is available in closed form):
+    //   p(zeta | x) ∝ base(zeta) * Gamma(shape) (1-Q)^{-shape}
+    //                 * P(shape, lambda_max (1-Q)),
+    // with shape = s_k + 1 (uniform hyperprior) or s_k + 1/2 (Jeffreys).
+    const double shape = s_k + (config_.jeffreys_lambda0 ? 0.5 : 1.0);
+    const double rate = std::max(1.0 - survival, 1e-300);
+    return base - shape * std::log(rate) +
+           math::log_regularized_gamma_p(shape, config_.lambda_max * rate);
+  }
+  // At fixed (alpha0, beta'): base(zeta) (1-Q)^{-s_k} is the multinomial
+  // law of the day counts given s_k, and (1-Q)/(1-beta' Q)^2 is the
+  // Jacobian of beta0 -> beta'.
+  const double detected = detected_fraction(survival);
+  return base - (s_k - 1.0) * std::log(detected) -
+         2.0 * std::log((1.0 - thinned) + thinned * detected);
+}
+
+void BayesianSrm::update_hyperparameters_collapsed(std::vector<double>& state,
+                                                   random::Rng& rng,
+                                                   double survival) const {
   const double s_k = static_cast<double>(data_.total());
   if (prior_ == PriorKind::kPoisson) {
     // p(lambda0 | zeta, x) ∝ pi(lambda0) lambda0^{s_k} e^{-lambda0 (1-Q)}:
@@ -253,6 +308,10 @@ void BayesianSrm::update_hyperparameters_collapsed(
     }
     // p(alpha0 | beta0, zeta, x) ∝ Gamma(s_k+alpha0)/Gamma(alpha0)
     //                              beta0^{alpha0} (1-z)^{-(s_k+alpha0)}.
+    mcmc::SliceOptions alpha_options;
+    alpha_options.lower = 1e-10;
+    alpha_options.upper = config_.alpha_max;
+    alpha_options.initial_width = config_.alpha_max / 10.0;
     {
       const double beta0 = state[2];
       const double z = std::clamp((1.0 - beta0) * q, 0.0, 1.0 - 1e-16);
@@ -262,50 +321,41 @@ void BayesianSrm::update_hyperparameters_collapsed(
         return math::lgamma(s_k + a) - math::lgamma(a) + a * std::log(beta0) -
                (s_k + a) * log_one_minus_z;
       };
-      mcmc::SliceOptions options;
-      options.lower = 1e-10;
-      options.upper = config_.alpha_max;
-      options.initial_width = config_.alpha_max / 10.0;
       state[1] = mcmc::slice_sample(
-          rng, std::clamp(state[1], options.lower, options.upper),
-          log_density, options);
+          rng,
+          std::clamp(state[1], alpha_options.lower, alpha_options.upper),
+          log_density, alpha_options);
     }
-    // Joint (alpha0, beta0) independence-Metropolis move on their collapsed
-    // conditional, to break the strong alpha0-beta0 ridge the two 1-D
-    // updates crawl along. Same invariant distribution; the uniform
-    // hyperprior makes the proposal density cancel.
-    {
-      const auto log_joint_hyper = [&](double a, double b) {
-        if (a <= 0.0 || a >= config_.alpha_max || b <= 0.0 || b >= 1.0) {
-          return kNegInf;
-        }
-        const double z = std::clamp((1.0 - b) * q, 0.0, 1.0 - 1e-16);
-        return math::lgamma(s_k + a) - math::lgamma(a) + a * std::log(b) +
-               s_k * std::log1p(-b) - (s_k + a) * std::log1p(-z);
+    // Ridge move: alpha0 at fixed thinned mean m = alpha0 (1-beta')/beta',
+    // the direction the data leave loose (s_k ~ NB(alpha0, beta') pins m
+    // far harder than alpha0). With beta' = alpha0/(alpha0 + m), the
+    // thinned NB term times the Jacobians of beta0 -> beta' -> m reduces,
+    // up to constants in m and Q, to the density below. m = 0 only where
+    // beta' rounds to 1, a degenerate fibre the move leaves alone.
+    const double thinned = thinned_beta(state[2], q);
+    const double mean = state[1] * (1.0 - thinned) / thinned;
+    if (mean > 0.0) {
+      const double detected = detected_fraction(q);
+      const auto log_density = [&](double a) {
+        if (a <= 0.0) return kNegInf;
+        return math::lgamma(s_k + a) - math::lgamma(a) +
+               (a + 1.0) * std::log(a) - (a + s_k) * std::log(a + mean) -
+               2.0 * std::log(mean + a * detected);
       };
-      double a = 0.0;
-      double b = 0.0;
-      mcmc::independence_metropolis(
-          rng, 5, log_joint_hyper(state[1], state[2]),
-          [&](random::Rng& proposal_rng) {
-            a = proposal_rng.uniform(0.0, config_.alpha_max);
-            b = proposal_rng.uniform(0.0, 1.0);
-            return log_joint_hyper(a, b);
-          },
-          [&] {
-            state[1] = a;
-            state[2] = std::clamp(b, 1e-12, 1.0 - 1e-12);
-          });
+      state[1] = mcmc::slice_sample(
+          rng,
+          std::clamp(state[1], alpha_options.lower, alpha_options.upper),
+          log_density, alpha_options);
+      state[2] = unthinned_beta(state[1] / (state[1] + mean), q);
     }
   }
 }
 
 void BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
-                                        random::Rng& rng,
-                                        Workspace& ws) const {
+                                        random::Rng& rng, Workspace& ws,
+                                        double thinned) const {
   auto& zeta = ws.zeta;
   zeta.assign(state.begin() + static_cast<long>(zeta_offset()), state.end());
-  const double s_k = static_cast<double>(data_.total());
   const std::size_t days = data_.days();
 
   // Collapsed marginal log-density of a full zeta vector, evaluated through
@@ -323,22 +373,7 @@ void BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
     if (base == kNegInf) return kNegInf;
     double log_q_sum = 0.0;
     for (std::size_t i = 0; i < days; ++i) log_q_sum += ws.log_survivals[i];
-    const double survival =
-        std::isfinite(log_q_sum) ? std::exp(log_q_sum) : 0.0;
-    if (prior_ == PriorKind::kPoisson) {
-      // lambda0 is integrated out as well (its conditional is a truncated
-      // gamma, so the normalizer is available in closed form):
-      //   p(zeta | x) ∝ base(zeta) * Gamma(shape) (1-Q)^{-shape}
-      //                 * P(shape, lambda_max (1-Q)),
-      // with shape = s_k + 1 (uniform hyperprior) or s_k + 1/2 (Jeffreys).
-      const double shape = s_k + (config_.jeffreys_lambda0 ? 0.5 : 1.0);
-      const double rate = std::max(1.0 - survival, 1e-300);
-      return base - shape * std::log(rate) +
-             math::log_regularized_gamma_p(shape, config_.lambda_max * rate);
-    }
-    const double z =
-        std::clamp((1.0 - state[2]) * survival, 0.0, 1.0 - 1e-16);
-    return base - (s_k + state[1]) * std::log1p(-z);
+    return collapsed_log_density(base, log_q_sum, thinned);
   };
 
   // Probe buffer mirrors zeta outside the coordinate under update, exactly

@@ -14,6 +14,8 @@
 //     beta0 | N, alpha0 ~ Beta(alpha0 + 1, N + 1)                    [exact]
 //     alpha0 | N, beta0 — slice sampling on (0, alpha_max)
 //     zeta_j | N, x     — slice sampling
+//   The default collapsed scheme integrates R out of the other moves; its
+//   NB zeta block holds beta' = beta0 / (1 - (1-beta0) Q) fixed (DESIGN.md).
 //
 // State vector layout (also the parameter-name order):
 //   Poisson prior:  [residual, lambda0, zeta...]
@@ -175,11 +177,26 @@ class BayesianSrm final : public SrmModel, public mcmc::LaneGibbsModel {
                               random::Rng& rng) const;
   void update_zeta(std::vector<double>& state, random::Rng& rng,
                    Workspace& workspace) const;
+  /// Collapsed hyperparameter draws at the state's Q = prod q_i.
   void update_hyperparameters_collapsed(std::vector<double>& state,
                                         random::Rng& rng,
-                                        Workspace& workspace) const;
+                                        double survival) const;
+  /// Collapsed zeta block; `thinned` is the NB prior's beta' held fixed
+  /// through it (ignored for the Poisson prior).
   void update_zeta_collapsed(std::vector<double>& state, random::Rng& rng,
-                             Workspace& workspace) const;
+                             Workspace& workspace, double thinned) const;
+  /// Collapsed marginal log-density of zeta from base(zeta) and
+  /// log Q = sum_i log q_i: lambda0 integrated out (Poisson), or at fixed
+  /// (alpha0, beta' = `thinned`) (NB). Shared by the scalar and lane scans.
+  [[nodiscard]] double collapsed_log_density(double base, double log_survival,
+                                             double thinned) const;
+  /// NB thinning map beta0 -> beta' = beta0 / (1 - (1-beta0) Q): the success
+  /// probability of the detected total s_k ~ NB(alpha0, beta'). Both maps
+  /// and the NB zeta density floor 1 - Q at the same small constant.
+  [[nodiscard]] static double thinned_beta(double beta0, double survival);
+  /// Inverse map beta' -> beta0 = beta' (1-Q) / (1 - beta' Q), clamped to
+  /// the open unit interval.
+  [[nodiscard]] static double unthinned_beta(double thinned, double survival);
 
   [[nodiscard]] std::int64_t initial_bugs_of(
       std::span<const double> state) const;
@@ -189,22 +206,17 @@ class BayesianSrm final : public SrmModel, public mcmc::LaneGibbsModel {
   void lane_survivals(LaneWorkspace& ws, double* survivals) const;
   /// Collapsed marginal log-density of each lane's zeta block in
   /// `zeta_soa` (the lane analogue of update_zeta_collapsed's
-  /// log_density_of). Only lanes in `active` are written; `states` supplies
-  /// the per-lane NB hyperparameters.
+  /// log_density_of). Only lanes in `active` are written; `thinned` holds
+  /// the per-lane NB beta'.
   void collapsed_density_lanes(const double* zeta_soa, unsigned active,
-                               std::vector<double>* const* states,
-                               LaneWorkspace& ws, double* out) const;
+                               const double* thinned, LaneWorkspace& ws,
+                               double* out) const;
   void update_zeta_collapsed_lanes(std::vector<double>* const* states,
                                    random::Rng* const* rngs,
-                                   LaneWorkspace& ws) const;
+                                   LaneWorkspace& ws,
+                                   const double* thinned) const;
   void update_zeta_lanes(std::vector<double>* const* states,
                          random::Rng* const* rngs, LaneWorkspace& ws) const;
-  /// Per-lane scalar port of update_hyperparameters_collapsed with the
-  /// survival product supplied by the lane channel (the scalar version
-  /// recomputes it; the value is RNG-free so reuse cannot shift draws).
-  void update_hyperparameters_collapsed_lane(std::vector<double>& state,
-                                             random::Rng& rng,
-                                             double survival) const;
 
   /// Shared tail of the pointwise fills: combines the fresh probability
   /// buffer in `workspace` into per-day log-likelihood terms. The scalar

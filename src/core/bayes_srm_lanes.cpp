@@ -9,8 +9,9 @@
 //                  products (they dominate the scan cost: one detection
 //                  sweep per density evaluation)
 //   scalar/lane    hyperparameter draws, residual draws, bookkeeping
-//                  (cheap, and trivially lane-independent: per-lane work
-//                  on per-lane state with the lane's own RNG)
+//                  (cheap, and trivially lane-independent: the scalar
+//                  scan's own update_hyperparameters_collapsed /
+//                  update_residual on per-lane state with the lane's RNG)
 //
 // This TU compiles at the baseline ISA; all wider-ISA code stays behind
 // the lane_kernels interface. The bit-identity contract (LaneGibbsModel)
@@ -26,13 +27,9 @@
 
 #include "core/detection_tables.hpp"
 #include "core/lane_kernels.hpp"
-#include "mcmc/metropolis.hpp"
 #include "mcmc/slice.hpp"
 #include "mcmc/slice_lanes.hpp"
-#include "random/samplers.hpp"
-#include "stats/beta.hpp"
 #include "support/error.hpp"
-#include "support/math.hpp"
 
 namespace srm::core {
 
@@ -99,7 +96,7 @@ void BayesianSrm::lane_survivals(LaneWorkspace& ws,
 
 void BayesianSrm::collapsed_density_lanes(const double* zeta_soa,
                                           unsigned active,
-                                          std::vector<double>* const* states,
+                                          const double* thinned,
                                           LaneWorkspace& ws,
                                           double* out) const {
   // Support precheck per lane, scalar: a lane outside the prior box is
@@ -138,34 +135,19 @@ void BayesianSrm::collapsed_density_lanes(const double* zeta_soa,
   lane_kernels::collapsed_base_lanes(day_data, ws.probabilities.data(),
                                      ws.log_survivals.data(), base, qsum);
 
-  const double s_k = static_cast<double>(data_.total());
   for (std::size_t l = 0; l < ws.lane_count; ++l) {
     if ((eval & (1U << l)) == 0) continue;
     if (base[l] == kNegInf) {
       out[l] = kNegInf;
       continue;
     }
-    const double survival =
-        std::isfinite(qsum[l]) ? std::exp(qsum[l]) : 0.0;
-    if (prior_ == PriorKind::kPoisson) {
-      // Same lambda0-integrated tail as update_zeta_collapsed.
-      const double shape = s_k + (config_.jeffreys_lambda0 ? 0.5 : 1.0);
-      const double rate = std::max(1.0 - survival, 1e-300);
-      out[l] = base[l] - shape * std::log(rate) +
-               math::log_regularized_gamma_p(shape,
-                                             config_.lambda_max * rate);
-    } else {
-      const auto& state = *states[l];
-      const double z =
-          std::clamp((1.0 - state[2]) * survival, 0.0, 1.0 - 1e-16);
-      out[l] = base[l] - (s_k + state[1]) * std::log1p(-z);
-    }
+    out[l] = collapsed_log_density(base[l], qsum[l], thinned[l]);
   }
 }
 
 void BayesianSrm::update_zeta_collapsed_lanes(
     std::vector<double>* const* states, random::Rng* const* rngs,
-    LaneWorkspace& ws) const {
+    LaneWorkspace& ws, const double* thinned) const {
   const std::size_t params = zeta_supports_.size();
   const unsigned all = (1U << ws.lane_count) - 1U;
 
@@ -176,7 +158,8 @@ void BayesianSrm::update_zeta_collapsed_lanes(
       for (std::size_t l = 0; l < ws.lane_count; ++l) {
         ws.probe_soa[j * kL + l] = xs[l];
       }
-      collapsed_density_lanes(ws.probe_soa.data(), active, states, ws, out);
+      collapsed_density_lanes(ws.probe_soa.data(), active, thinned, ws,
+                              out);
     };
     mcmc::SliceOptions options;
     options.lower = support.lower;
@@ -203,7 +186,7 @@ void BayesianSrm::update_zeta_collapsed_lanes(
   // discipline, so no lane's RNG stream depends on its neighbours.
   constexpr int kModeJumpProposals = 5;
   double current[kL];
-  collapsed_density_lanes(ws.zeta_soa.data(), all, states, ws, current);
+  collapsed_density_lanes(ws.zeta_soa.data(), all, thinned, ws, current);
   for (int attempt = 0; attempt < kModeJumpProposals; ++attempt) {
     for (std::size_t l = 0; l < ws.lane_count; ++l) {
       for (std::size_t j = 0; j < params; ++j) {
@@ -213,7 +196,7 @@ void BayesianSrm::update_zeta_collapsed_lanes(
     }
     pad_soa(ws.proposal_soa, params, ws.lane_count);
     double proposed[kL];
-    collapsed_density_lanes(ws.proposal_soa.data(), all, states, ws,
+    collapsed_density_lanes(ws.proposal_soa.data(), all, thinned, ws,
                             proposed);
     for (std::size_t l = 0; l < ws.lane_count; ++l) {
       if (std::log(rngs[l]->uniform_open()) < proposed[l] - current[l]) {
@@ -299,78 +282,6 @@ void BayesianSrm::update_zeta_lanes(std::vector<double>* const* states,
   }
 }
 
-void BayesianSrm::update_hyperparameters_collapsed_lane(
-    std::vector<double>& state, random::Rng& rng, double survival) const {
-  // Scalar port of update_hyperparameters_collapsed with the survival
-  // product precomputed by the lane channel; the draw sequence is
-  // unchanged because stable_survival consumes no variates.
-  const double s_k = static_cast<double>(data_.total());
-  if (prior_ == PriorKind::kPoisson) {
-    const double shape = s_k + (config_.jeffreys_lambda0 ? 0.5 : 1.0);
-    const double rate = std::max(1.0 - survival, 1e-12);
-    state[1] =
-        random::sample_truncated_gamma(rng, shape, rate, config_.lambda_max);
-    return;
-  }
-  const double q = survival;
-  {
-    const double alpha0 = std::max(state[1], 1e-12);
-    const auto log_density = [&](double b) {
-      if (b <= 0.0 || b >= 1.0) return kNegInf;
-      const double z = std::clamp((1.0 - b) * q, 0.0, 1.0 - 1e-16);
-      return alpha0 * std::log(b) + s_k * std::log1p(-b) -
-             (s_k + alpha0) * std::log1p(-z);
-    };
-    mcmc::SliceOptions options;
-    options.lower = 1e-12;
-    options.upper = 1.0 - 1e-12;
-    options.initial_width = 0.1;
-    state[2] = mcmc::slice_sample(
-        rng, std::clamp(state[2], options.lower, options.upper), log_density,
-        options);
-  }
-  {
-    const double beta0 = state[2];
-    const double z = std::clamp((1.0 - beta0) * q, 0.0, 1.0 - 1e-16);
-    const double log_one_minus_z = std::log1p(-z);
-    const auto log_density = [&](double a) {
-      if (a <= 0.0) return kNegInf;
-      return math::lgamma(s_k + a) - math::lgamma(a) + a * std::log(beta0) -
-             (s_k + a) * log_one_minus_z;
-    };
-    mcmc::SliceOptions options;
-    options.lower = 1e-10;
-    options.upper = config_.alpha_max;
-    options.initial_width = config_.alpha_max / 10.0;
-    state[1] = mcmc::slice_sample(
-        rng, std::clamp(state[1], options.lower, options.upper), log_density,
-        options);
-  }
-  {
-    const auto log_joint_hyper = [&](double a, double b) {
-      if (a <= 0.0 || a >= config_.alpha_max || b <= 0.0 || b >= 1.0) {
-        return kNegInf;
-      }
-      const double z = std::clamp((1.0 - b) * q, 0.0, 1.0 - 1e-16);
-      return math::lgamma(s_k + a) - math::lgamma(a) + a * std::log(b) +
-             s_k * std::log1p(-b) - (s_k + a) * std::log1p(-z);
-    };
-    double a = 0.0;
-    double b = 0.0;
-    mcmc::independence_metropolis(
-        rng, 5, log_joint_hyper(state[1], state[2]),
-        [&](random::Rng& proposal_rng) {
-          a = proposal_rng.uniform(0.0, config_.alpha_max);
-          b = proposal_rng.uniform(0.0, 1.0);
-          return log_joint_hyper(a, b);
-        },
-        [&] {
-          state[1] = a;
-          state[2] = std::clamp(b, 1e-12, 1.0 - 1e-12);
-        });
-  }
-}
-
 void BayesianSrm::update_lanes(std::size_t lane_count,
                                std::vector<double>* const* states,
                                random::Rng* const* rngs,
@@ -394,15 +305,24 @@ void BayesianSrm::update_lanes(std::size_t lane_count,
 
   double survival[kL];
   if (config_.scheme == SamplerScheme::kCollapsed) {
-    // Same conditional order as update_with: zeta (collapsed), then the
-    // hyperparameters, then the exact residual draw. One survival
-    // evaluation at the post-update zeta serves both consumers — the
-    // scalar path computes it twice with identical inputs.
-    update_zeta_collapsed_lanes(states, rngs, *ws);
+    // Same conditional order as update_with: zeta (collapsed, NB at fixed
+    // beta'), then the hyperparameters, then the exact residual draw, with
+    // one survival evaluation at the post-update zeta serving all three.
+    double thinned[kL] = {};
+    if (prior_ == PriorKind::kNegativeBinomial) {
+      lane_survivals(*ws, survival);
+      for (std::size_t l = 0; l < lane_count; ++l) {
+        thinned[l] = thinned_beta((*states[l])[2], survival[l]);
+      }
+    }
+    update_zeta_collapsed_lanes(states, rngs, *ws, thinned);
     lane_survivals(*ws, survival);
     for (std::size_t l = 0; l < lane_count; ++l) {
-      update_hyperparameters_collapsed_lane(*states[l], *rngs[l],
-                                            survival[l]);
+      auto& state = *states[l];
+      if (prior_ == PriorKind::kNegativeBinomial) {
+        state[2] = unthinned_beta(thinned[l], survival[l]);
+      }
+      update_hyperparameters_collapsed(state, *rngs[l], survival[l]);
     }
     for (std::size_t l = 0; l < lane_count; ++l) {
       update_residual(*states[l], *rngs[l], survival[l]);

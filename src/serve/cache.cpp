@@ -51,13 +51,18 @@ std::optional<std::pair<support::Json, CacheTier>> PosteriorCache::lookup(
     touch(it->second);
     return std::make_pair(it->second->second, CacheTier::kMemory);
   }
-  if (store_.has_value()) {
-    if (auto envelope = store_->load(hash); envelope.has_value()) {
-      insert_memory(hash, *envelope);
-      return std::make_pair(std::move(*envelope), CacheTier::kDisk);
-    }
+  if (!store_.has_value()) return std::nullopt;
+  std::optional<support::Json> envelope;
+  try {
+    envelope = store_->load(hash);
+  } catch (const artifact::StaleCell&) {
+    // Written by a build with another schema version: a miss, so the cell
+    // is recomputed and insert() overwrites the file.
+    return std::nullopt;
   }
-  return std::nullopt;
+  if (!envelope.has_value()) return std::nullopt;
+  insert_memory(hash, *envelope);
+  return std::make_pair(std::move(*envelope), CacheTier::kDisk);
 }
 
 void PosteriorCache::insert(const std::string& hash, support::Json envelope) {

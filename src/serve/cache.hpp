@@ -50,7 +50,8 @@ class PosteriorCache {
 
   /// Memory first, then disk (promoting the envelope into memory). The
   /// returned tier says which one answered; nullopt means the caller must
-  /// compute.
+  /// compute, which includes a disk cell from another schema version.
+  /// Throws when a disk cell exists but is unreadable (corrupt, moved).
   [[nodiscard]] std::optional<std::pair<support::Json, CacheTier>> lookup(
       const std::string& hash);
 

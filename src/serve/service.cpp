@@ -136,6 +136,7 @@ std::vector<ResponseInfo> Service::handle_batch(
   std::map<std::string, CacheTier> tiers;      // hash -> first resolution
   std::vector<Need> to_compute;                // schedule order
   std::map<std::string, std::size_t> compute_slot;  // hash -> slot index
+  std::map<std::string, std::string> unreadable;    // hash -> load error
 
   for (const auto& line : lines) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
@@ -197,7 +198,17 @@ std::vector<ResponseInfo> Service::handle_batch(
           if (it->second == CacheTier::kComputed) ++dedup_shared_;
           continue;
         }
-        if (auto hit = cache_.lookup(need.hash); hit.has_value()) {
+        if (unreadable.count(need.hash) != 0) continue;
+        std::optional<std::pair<Json, CacheTier>> hit;
+        try {
+          hit = cache_.lookup(need.hash);
+        } catch (const std::exception& error) {
+          // An unreadable disk cell fails the requests that need it, like
+          // a failed computation; the rest of the stream is answered.
+          unreadable.emplace(need.hash, error.what());
+          continue;
+        }
+        if (hit.has_value()) {
           tiers.emplace(need.hash, hit->second);
           resolved.emplace(need.hash, std::move(hit->first));
           continue;
@@ -243,6 +254,9 @@ std::vector<ResponseInfo> Service::handle_batch(
       [&](const std::string& hash) -> std::pair<const Json*, std::string> {
     if (const auto it = resolved.find(hash); it != resolved.end()) {
       return {&it->second, {}};
+    }
+    if (const auto it = unreadable.find(hash); it != unreadable.end()) {
+      return {nullptr, it->second};
     }
     const auto slot = compute_slot.find(hash);
     SRM_EXPECTS(slot != compute_slot.end(), "lost envelope for " + hash);

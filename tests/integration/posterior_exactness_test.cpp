@@ -1,14 +1,22 @@
 // The strongest end-to-end correctness test in the suite: for a small
-// model0 + Poisson-prior SRM the exact marginal posterior of the residual
-// count R is computable by brute-force numeric integration —
+// model0 SRM the exact marginal posterior of the residual count R is
+// computable by brute-force numeric integration. Poisson prior —
 //
 //   p(R | x) ∝ ∫∫ Poisson(R; lambda Q(mu)) lambda^{s_k} e^{-lambda (1-Q)}
 //              base(mu) dlambda dmu
 //
 // over the uniform hyperprior box (the lambda-integrand uses the collapsed
 // identities derived in DESIGN.md; base(mu) = prod p^x q^{s_k - s_i}).
-// The full Gibbs sampler must reproduce this pmf.
+// Negative binomial prior — beta0 (a Beta integral) and then alpha0 over
+// (0, A) integrate in closed form, leaving
+//
+//   p(R | x) ∝ [(s_k + R)! / R!] g(s_k + R) ∫ base(mu) Q(mu)^R dmu,
+//   g(N) = (N + 1) ln((A + N + 1)/(N + 1)) - N ln((A + N)/N),
+//
+// with A = alpha_max. The full Gibbs sampler must reproduce both pmfs.
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -102,6 +110,101 @@ TEST(PosteriorExactness, GibbsMatchesBruteForceIntegration) {
   for (const double s : samples) mcmc_mean += s;
   mcmc_mean /= static_cast<double>(samples.size());
   EXPECT_NEAR(mcmc_mean, exact_mean, 0.03 * exact_mean + 0.05);
+}
+
+/// Exact NB-prior residual pmf on [0, max_r], normalised over that range.
+std::vector<double> exact_negbin_residual_pmf(const BugCountData& data,
+                                              double alpha_max,
+                                              std::int64_t max_r) {
+  const auto g = [alpha_max](double n) {
+    const double tail = n > 0.0 ? n * std::log((alpha_max + n) / n) : 0.0;
+    return (n + 1.0) * std::log((alpha_max + n + 1.0) / (n + 1.0)) - tail;
+  };
+  // The mu-integral I(R) = ∫ base(mu) Q(mu)^R dmu on a midpoint grid, built
+  // up over R by one multiplication per grid point.
+  constexpr int kMuSteps = 20000;
+  const auto model0 =
+      core::make_detection_model(core::DetectionModelKind::kConstant);
+  std::vector<double> weight(kMuSteps);
+  std::vector<double> q_product(kMuSteps);
+  for (int im = 0; im < kMuSteps; ++im) {
+    const std::vector<double> zeta{(im + 0.5) / kMuSteps};
+    const auto p = model0->probabilities(data.days(), zeta);
+    weight[static_cast<std::size_t>(im)] =
+        std::exp(core::log_likelihood_collapsed_base(data, p));
+    q_product[static_cast<std::size_t>(im)] = core::survival_product(p);
+  }
+  const double s_k = static_cast<double>(data.total());
+  std::vector<double> pmf(static_cast<std::size_t>(max_r) + 1);
+  for (std::int64_t r = 0; r <= max_r; ++r) {
+    double integral = 0.0;
+    for (int im = 0; im < kMuSteps; ++im) {
+      integral += weight[static_cast<std::size_t>(im)];
+      weight[static_cast<std::size_t>(im)] *=
+          q_product[static_cast<std::size_t>(im)];
+    }
+    const double rd = static_cast<double>(r);
+    pmf[static_cast<std::size_t>(r)] =
+        std::exp(std::lgamma(s_k + rd + 1.0) - std::lgamma(rd + 1.0)) *
+        g(s_k + rd) * integral;
+  }
+  double total = 0.0;
+  for (const double v : pmf) total += v;
+  for (double& v : pmf) v /= total;
+  return pmf;
+}
+
+TEST(PosteriorExactness, NegBinGibbsMatchesClosedFormIntegration) {
+  // The NB residual posterior has a polynomial tail (about R^-3 here), so
+  // pmfs are compared conditional on R <= kMaxR, through the bins that
+  // carry real mass and the whole CDF.
+  const BugCountData data("t", {2, 1, 1, 0, 1});
+  const double alpha_max = 25.0;
+  constexpr std::int64_t kMaxR = 400;
+  const auto exact = exact_negbin_residual_pmf(data, alpha_max, kMaxR);
+
+  core::HyperPriorConfig config;
+  config.alpha_max = alpha_max;
+  const core::BayesianSrm model(core::PriorKind::kNegativeBinomial,
+                                core::DetectionModelKind::kConstant, data,
+                                config);
+  for (const bool chain_lanes : {false, true}) {
+    const std::string mode = chain_lanes ? "chain_lanes" : "scalar";
+    srm::mcmc::GibbsOptions gibbs;
+    gibbs.chain_count = 2;
+    gibbs.burn_in = 1000;
+    gibbs.iterations = 40000;
+    gibbs.seed = 1234;
+    gibbs.chain_lanes = chain_lanes;
+    const auto run = srm::mcmc::run_gibbs(model, gibbs);
+    const auto samples = run.pooled("residual");
+    std::vector<double> empirical(kMaxR + 1, 0.0);
+    double inside = 0.0;
+    for (const double s : samples) {
+      const auto r = static_cast<std::int64_t>(std::llround(s));
+      if (r <= kMaxR) {
+        ++empirical[static_cast<std::size_t>(r)];
+        ++inside;
+      }
+    }
+    ASSERT_GT(inside, 0.97 * static_cast<double>(samples.size())) << mode;
+    for (double& v : empirical) v /= inside;
+
+    double exact_cdf = 0.0;
+    double empirical_cdf = 0.0;
+    double max_cdf_gap = 0.0;
+    for (std::int64_t r = 0; r <= kMaxR; ++r) {
+      const double p = exact[static_cast<std::size_t>(r)];
+      const double e = empirical[static_cast<std::size_t>(r)];
+      if (p >= 1e-4) {
+        EXPECT_NEAR(e, p, 0.15 * p + 0.0015) << mode << " r=" << r;
+      }
+      exact_cdf += p;
+      empirical_cdf += e;
+      max_cdf_gap = std::max(max_cdf_gap, std::abs(exact_cdf - empirical_cdf));
+    }
+    EXPECT_LT(max_cdf_gap, 0.01) << mode;
+  }
 }
 
 }  // namespace

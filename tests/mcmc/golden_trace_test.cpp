@@ -66,7 +66,10 @@ struct GoldenCase {
 };
 
 // Captured from the pre-workspace implementation (commit 72dd8dc) with the
-// exact options above; see the measurement notes in EXPERIMENTS.md.
+// exact options above; see the measurement notes in EXPERIMENTS.md. The
+// collapsed negbin digests were re-pinned once, under artifact schema
+// version 2, when that scan moved to the thinned (alpha0, beta')
+// parametrisation (DESIGN.md); every other digest is the original.
 constexpr GoldenCase kGoldenCases[] = {
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 0, 0x291736a24699108dULL},
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 1, 0xfa1a9101bd570275ULL},
@@ -76,19 +79,19 @@ constexpr GoldenCase kGoldenCases[] = {
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 5, 0xd323780d1d330734ULL},
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 6, 0x0b8f18a2836f7736ULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 0,
-     0x4973410978b22b32ULL},
+     0xb41165d86f0ccf5bULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 1,
-     0x5dbed1f1f5d1466dULL},
+     0x008c611d6c0bf6a7ULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 2,
-     0x040a7c8e06efa21bULL},
+     0xd4babc1ff5be7d9bULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 3,
-     0xfd943a36fba7961cULL},
+     0x07845a77b7e5e539ULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 4,
-     0xf9daeaf1da1eb8bcULL},
+     0x42e60f61e923f336ULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 5,
-     0xfdc53f93d866fcc7ULL},
+     0x3126b6720cf85a9cULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 6,
-     0x42a376675383dc56ULL},
+     0x196c4b82006740e8ULL},
     {SamplerScheme::kVanilla, PriorKind::kPoisson, 0, 0xdb803ddadc8931b2ULL},
     {SamplerScheme::kVanilla, PriorKind::kPoisson, 1, 0x2e1f79bdd2cd8d5bULL},
     {SamplerScheme::kVanilla, PriorKind::kPoisson, 2, 0xe5a5fe8e3b6d2c26ULL},

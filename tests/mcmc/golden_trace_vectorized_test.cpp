@@ -77,7 +77,8 @@ struct VectorizedCase {
 };
 
 // Captured at the introduction of the SIMD layer with the exact options
-// above (same geometry as the scalar golden set).
+// above (same geometry as the scalar golden set); the collapsed negbin
+// digests re-pinned with the scalar ones under artifact schema version 2.
 constexpr VectorizedCase kVectorizedCases[] = {
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 2,
      0xabe4507312dc017aULL},
@@ -86,11 +87,11 @@ constexpr VectorizedCase kVectorizedCases[] = {
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 4,
      0x94f14f3f8e7ae94bULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 2,
-     0x040a7c8e06efa21bULL},
+     0xdc2b0799d764fa45ULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 3,
-     0xfd943a36fba7961cULL},
+     0x07845a77b7e5e539ULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 4,
-     0xf9daeaf1da1eb8bcULL},
+     0x237ce42067affa96ULL},
     {SamplerScheme::kVanilla, PriorKind::kPoisson, 2, 0xe5a5fe8e3b6d2c26ULL},
     {SamplerScheme::kVanilla, PriorKind::kPoisson, 3, 0x163924ee93faa2abULL},
     {SamplerScheme::kVanilla, PriorKind::kPoisson, 4, 0xb9fac956ef8d99b5ULL},

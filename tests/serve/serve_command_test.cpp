@@ -1,9 +1,10 @@
 // Transport-level tests for `srm serve`: the stdin/stdout line loop via
 // run_serve over string streams (flag handling, --no-meta replay
-// determinism, shutdown), and one full round trip over the unix-socket
-// transport.
+// determinism, shutdown, stale and corrupt disk cells), and one full round
+// trip over the unix-socket transport.
 #include "serve/serve_command.hpp"
 
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "artifact/cell_store.hpp"
 #include "cli/args.hpp"
 #include "serve/service.hpp"
 #include "serve/socket.hpp"
@@ -25,6 +27,7 @@
 
 namespace {
 
+namespace fs = std::filesystem;
 namespace serve = srm::serve;
 using srm::cli::Args;
 using srm::support::Json;
@@ -101,6 +104,72 @@ TEST(ServeCommand, MetaTagsTheCacheTierWithoutTouchingTheBody) {
     return body.dump();
   };
   EXPECT_EQ(body_without_meta(cold), body_without_meta(warm));
+}
+
+/// A fresh store directory holding the one cell `fit_line(1)` computes.
+fs::path store_with_one_cell(const std::string& name) {
+  const auto dir = fs::temp_directory_path() / ("srm_serve_cmd_" + name);
+  fs::remove_all(dir);
+  run_stream({"--no-meta", "--store", dir.string()}, fit_line(1) + "\n");
+  return dir;
+}
+
+fs::path only_cell(const fs::path& dir) {
+  std::vector<fs::path> cells;
+  for (const auto& entry : fs::directory_iterator(dir / "cells")) {
+    cells.push_back(entry.path());
+  }
+  EXPECT_EQ(cells.size(), 1u);
+  return cells.empty() ? fs::path{} : cells.front();
+}
+
+TEST(ServeCommand, StaleSchemaDiskCellIsRecomputedAndRewritten) {
+  // A store written by a build with another schema version is a cache
+  // miss, not a fatal error: the cell is recomputed and overwritten.
+  const auto dir = store_with_one_cell("stale");
+  const auto cell = only_cell(dir);
+  Json stale = Json::parse(srm::artifact::read_text_file(cell));
+  stale.set("schema_version", srm::artifact::kSchemaVersion - 1);
+  srm::artifact::write_file_atomic(cell, stale.dump(2));
+
+  const auto lines = run_stream({"--store", dir.string()},
+                                fit_line(1) + "\n" + fit_line(2) + "\n");
+  ASSERT_EQ(lines.size(), 2u);
+  const Json response = Json::parse(lines[0]);
+  EXPECT_TRUE(response.at("ok").as_bool()) << lines[0];
+  EXPECT_EQ(response.at("cache").as_string(), "computed");
+  EXPECT_TRUE(Json::parse(lines[1]).at("ok").as_bool());
+  EXPECT_EQ(Json::parse(srm::artifact::read_text_file(cell))
+                .at("schema_version")
+                .as_int(),
+            srm::artifact::kSchemaVersion);
+
+  // The rewritten cell now answers from the disk tier.
+  const auto again = run_stream({"--store", dir.string()}, fit_line(1) + "\n");
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_EQ(Json::parse(again[0]).at("cache").as_string(), "disk");
+  fs::remove_all(dir);
+}
+
+TEST(ServeCommand, CorruptDiskCellFailsOnlyItsOwnRequests) {
+  // Any other unreadable cell is that request's structured error; the
+  // loop keeps answering the rest of the stream and exits 0.
+  const auto dir = store_with_one_cell("corrupt");
+  srm::artifact::write_file_atomic(only_cell(dir), "{\"hash\": ");
+
+  const auto lines = run_stream(
+      {"--no-meta", "--batch", "1", "--store", dir.string()},
+      fit_line(1) + "\n" + fit_line(2) + "\n" + fit_line(1) + "\n" +
+          R"({"op":"stats"})" + "\n");
+  ASSERT_EQ(lines.size(), 4u);
+  for (const std::size_t failed : {0u, 2u}) {
+    const Json response = Json::parse(lines[failed]);
+    EXPECT_FALSE(response.at("ok").as_bool()) << lines[failed];
+    EXPECT_FALSE(response.at("error").as_string().empty());
+  }
+  EXPECT_TRUE(Json::parse(lines[1]).at("ok").as_bool()) << lines[1];
+  EXPECT_TRUE(Json::parse(lines[3]).at("ok").as_bool()) << lines[3];
+  fs::remove_all(dir);
 }
 
 TEST(ServeCommand, ShutdownRequestEndsTheLoopEarly) {
