@@ -12,6 +12,7 @@
 #include "random/samplers.hpp"
 #include "stats/beta.hpp"
 #include "support/error.hpp"
+#include "support/fp.hpp"
 #include "support/math.hpp"
 
 namespace srm::core {
@@ -116,20 +117,10 @@ void BayesianSrm::update_with(std::vector<double>& state, random::Rng& rng,
   if (config_.scheme == SamplerScheme::kCollapsed) {
     // R is integrated out of the zeta and hyperparameter conditionals and
     // re-drawn exactly at the end of the scan, eliminating the R-scale
-    // coupling that slows the vanilla scheme. The NB zeta block moves at
-    // fixed thinned success probability beta' (DESIGN.md), so beta0 is
-    // mapped out before it and back after it; one survival product at the
-    // final zeta serves the map-back, the hyperparameters and R.
-    const auto zeta = std::span<const double>(state).subspan(zeta_offset());
-    double thinned = 0.0;
-    if (prior_ == PriorKind::kNegativeBinomial) {
-      thinned = thinned_beta(state[2], stable_survival(zeta, ws));
-    }
-    update_zeta_collapsed(state, rng, ws, thinned);
-    const double survival = stable_survival(zeta, ws);
-    if (prior_ == PriorKind::kNegativeBinomial) {
-      state[2] = unthinned_beta(thinned, survival);
-    }
+    // coupling that slows the vanilla scheme. The survival product the
+    // zeta block carries to its accepted point serves the hyperparameters
+    // and R.
+    const double survival = update_zeta_collapsed(state, rng, ws);
     update_hyperparameters_collapsed(state, rng, survival);
     update_residual(state, rng, survival);
   } else {
@@ -351,51 +342,63 @@ void BayesianSrm::update_hyperparameters_collapsed(std::vector<double>& state,
   }
 }
 
-void BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
-                                        random::Rng& rng, Workspace& ws,
-                                        double thinned) const {
+double BayesianSrm::collapsed_density(const CollapsedSums& sums,
+                                      double thinned) const {
+  if (sums.base == kNegInf) return kNegInf;
+  return collapsed_log_density(sums.base, sums.log_survival, thinned);
+}
+
+double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
+                                          random::Rng& rng,
+                                          Workspace& ws) const {
   auto& zeta = ws.zeta;
   zeta.assign(state.begin() + static_cast<long>(zeta_offset()), state.end());
-  const std::size_t days = data_.days();
+  // Built at a workspace's first collapsed scan: scratch workspaces for
+  // initial states and pointwise scoring never need one.
+  if (!ws.evaluator) ws.evaluator = make_collapsed_evaluator(*model_, data_);
+  auto& evaluator = *ws.evaluator;
 
-  // Collapsed marginal log-density of a full zeta vector, evaluated through
-  // the workspace's probability/log-survival buffers (no allocation).
-  const auto log_density_of = [&](std::span<const double> probe) {
-    for (std::size_t j = 0; j < probe.size(); ++j) {
-      if (probe[j] <= zeta_supports_[j].lower ||
-          probe[j] >= zeta_supports_[j].upper) {
-        return kNegInf;
-      }
-    }
-    model_->detection_into(days, probe, ws.probabilities, ws.log_survivals);
-    const double base = log_likelihood_collapsed_base(data_, ws.probabilities,
-                                                      ws.log_survivals);
-    if (base == kNegInf) return kNegInf;
-    double log_q_sum = 0.0;
-    for (std::size_t i = 0; i < days; ++i) log_q_sum += ws.log_survivals[i];
-    return collapsed_log_density(base, log_q_sum, thinned);
-  };
+  // Each distinct zeta is evaluated once: `current` holds the sums at the
+  // state's zeta, and every accepted move carries its probe's sums along.
+  CollapsedSums current = evaluator.evaluate(zeta);
+  // The NB block moves at fixed thinned success probability beta'
+  // (DESIGN.md): beta0 is mapped out at the starting Q and back at the
+  // accepted one.
+  const double thinned =
+      prior_ == PriorKind::kNegativeBinomial
+          ? thinned_beta(state[2], std::exp(current.log_survival))
+          : 0.0;
+  double current_density = collapsed_density(current, thinned);
 
-  // Probe buffer mirrors zeta outside the coordinate under update, exactly
-  // as in the vanilla path.
-  auto& probe = ws.probe;
-  probe.assign(zeta.begin(), zeta.end());
   for (std::size_t j = 0; j < zeta.size(); ++j) {
     const auto& support = zeta_supports_[j];
+    evaluator.prepare(zeta, j);
+    double probed = 0.0;
+    CollapsedSums probed_sums;
     const auto log_density = [&](double value) {
-      probe[j] = value;
-      return log_density_of(probe);
+      if (value <= support.lower || value >= support.upper) return kNegInf;
+      probed = value;
+      probed_sums = evaluator.probe(value);
+      return collapsed_density(probed_sums, thinned);
     };
     mcmc::SliceOptions options;
     options.lower = support.lower;
     options.upper = support.upper;
     options.initial_width = (support.upper - support.lower) / 10.0;
-    zeta[j] = mcmc::slice_sample(
-        rng,
-        std::clamp(zeta[j], support.lower + 1e-12, support.upper - 1e-12),
-        log_density, options);
-    probe[j] = zeta[j];
-    state[zeta_offset() + j] = zeta[j];
+    const double x0 =
+        std::clamp(zeta[j], support.lower + 1e-12, support.upper - 1e-12);
+    if (!fp::exactly(x0, zeta[j])) {
+      current_density = log_density(x0);
+      current = probed_sums;
+    }
+    const auto draw =
+        mcmc::slice_sample(rng, x0, current_density, log_density, options);
+    // An accepted draw is the last point probed; a collapsed bracket
+    // returns x0, whose sums `current` already holds.
+    if (fp::exactly(draw.x, probed)) current = probed_sums;
+    current_density = draw.log_density;
+    zeta[j] = draw.x;
+    state[zeta_offset() + j] = draw.x;
   }
 
   // Mode-jump move: component-wise slice sampling cannot cross between
@@ -407,21 +410,34 @@ void BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
   // Uniform prior => the proposal density cancels in the MH ratio.
   constexpr int kModeJumpProposals = 5;
   auto& proposal = ws.proposal;
+  CollapsedSums proposed;
   mcmc::independence_metropolis(
-      rng, kModeJumpProposals, log_density_of(zeta),
+      rng, kModeJumpProposals, current_density,
       [&](random::Rng& proposal_rng) {
+        bool inside = true;
         for (std::size_t j = 0; j < zeta.size(); ++j) {
-          proposal[j] = proposal_rng.uniform(zeta_supports_[j].lower,
-                                             zeta_supports_[j].upper);
+          const auto& support = zeta_supports_[j];
+          proposal[j] = proposal_rng.uniform(support.lower, support.upper);
+          inside = inside && proposal[j] > support.lower &&
+                   proposal[j] < support.upper;
         }
-        return log_density_of(proposal);
+        if (!inside) return kNegInf;
+        proposed = evaluator.evaluate(proposal);
+        return collapsed_density(proposed, thinned);
       },
       [&] {
         zeta = proposal;  // equal sizes: copies in place, no allocation
+        current = proposed;
         for (std::size_t j = 0; j < zeta.size(); ++j) {
           state[zeta_offset() + j] = zeta[j];
         }
       });
+
+  const double survival = std::exp(current.log_survival);
+  if (prior_ == PriorKind::kNegativeBinomial) {
+    state[2] = unthinned_beta(thinned, survival);
+  }
+  return survival;
 }
 
 std::int64_t BayesianSrm::initial_bugs_of(

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "core/collapsed_evaluator.hpp"
 #include "core/detection_models.hpp"
 #include "core/model_family.hpp"
 #include "data/bug_count_data.hpp"
@@ -61,6 +62,9 @@ class BayesianSrm final : public SrmModel, public mcmc::LaneGibbsModel {
     std::vector<double> log_survivals;  ///< log q_1..log q_k channel
     std::vector<double> log_p;          ///< log p_i sweep (vectorized fill)
     std::vector<double> log_1mp;        ///< log(1-p_i) sweep (vectorized)
+    /// Data sums of the collapsed zeta-density, prepared per coordinate;
+    /// built by the first collapsed scan.
+    std::unique_ptr<CollapsedEvaluator> evaluator;
   };
 
   /// Shared scratch for a pack of up to kChainLanes chains advancing in
@@ -181,15 +185,20 @@ class BayesianSrm final : public SrmModel, public mcmc::LaneGibbsModel {
   void update_hyperparameters_collapsed(std::vector<double>& state,
                                         random::Rng& rng,
                                         double survival) const;
-  /// Collapsed zeta block; `thinned` is the NB prior's beta' held fixed
-  /// through it (ignored for the Poisson prior).
-  void update_zeta_collapsed(std::vector<double>& state, random::Rng& rng,
-                             Workspace& workspace, double thinned) const;
+  /// Collapsed zeta block through the workspace's evaluator; returns
+  /// Q = prod q_i at the accepted zeta. The NB prior holds its thinned
+  /// beta' fixed through the block, mapping beta0 out and back.
+  [[nodiscard]] double update_zeta_collapsed(std::vector<double>& state,
+                                             random::Rng& rng,
+                                             Workspace& workspace) const;
   /// Collapsed marginal log-density of zeta from base(zeta) and
   /// log Q = sum_i log q_i: lambda0 integrated out (Poisson), or at fixed
   /// (alpha0, beta' = `thinned`) (NB). Shared by the scalar and lane scans.
   [[nodiscard]] double collapsed_log_density(double base, double log_survival,
                                              double thinned) const;
+  /// collapsed_log_density of evaluator sums; -inf where base is.
+  [[nodiscard]] double collapsed_density(const CollapsedSums& sums,
+                                         double thinned) const;
   /// NB thinning map beta0 -> beta' = beta0 / (1 - (1-beta0) Q): the success
   /// probability of the detected total s_k ~ NB(alpha0, beta'). Both maps
   /// and the NB zeta density floor 1 - Q at the same small constant.

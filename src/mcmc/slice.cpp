@@ -7,15 +7,30 @@
 
 namespace srm::mcmc {
 
-double slice_sample(random::Rng& rng, double x0, LogDensityRef log_density,
-                    const SliceOptions& options) {
+namespace {
+
+void check_options(double x0, const SliceOptions& options) {
   SRM_EXPECTS(options.initial_width > 0.0,
               "slice_sample requires a positive initial width");
   SRM_EXPECTS(options.lower < options.upper,
               "slice_sample requires lower < upper");
   SRM_EXPECTS(x0 >= options.lower && x0 <= options.upper,
               "slice_sample requires x0 inside the support");
-  const double f0 = log_density(x0);
+}
+
+}  // namespace
+
+double slice_sample(random::Rng& rng, double x0, LogDensityRef log_density,
+                    const SliceOptions& options) {
+  check_options(x0, options);
+  return slice_sample(rng, x0, log_density(x0), log_density, options).x;
+}
+
+SliceDraw slice_sample(random::Rng& rng, double x0, double log_density_x0,
+                       LogDensityRef log_density,
+                       const SliceOptions& options) {
+  check_options(x0, options);
+  const double f0 = log_density_x0;
   SRM_EXPECTS(std::isfinite(f0),
               "slice_sample requires finite density at the current point");
 
@@ -44,7 +59,8 @@ double slice_sample(random::Rng& rng, double x0, LogDensityRef log_density,
   // Shrinkage: sample in [left, right], shrink toward x0 on rejection.
   for (int iter = 0; iter < options.max_shrink; ++iter) {
     const double x1 = left + (right - left) * rng.uniform_open();
-    if (log_density(x1) > log_y) return x1;
+    const double f1 = log_density(x1);
+    if (f1 > log_y) return {x1, f1};
     if (x1 < x0) {
       left = x1;
     } else {
@@ -55,7 +71,7 @@ double slice_sample(random::Rng& rng, double x0, LogDensityRef log_density,
   // The bracket collapsed without acceptance — numerically possible when the
   // density is a spike; keeping the current state preserves correctness
   // (a no-op move is a valid MCMC transition).
-  return x0;
+  return {x0, f0};
 }
 
 }  // namespace srm::mcmc

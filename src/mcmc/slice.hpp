@@ -28,6 +28,12 @@ struct SliceOptions {
   int max_shrink = 200;        ///< safety cap on shrinkage iterations
 };
 
+/// A slice transition's new state and the log density there.
+struct SliceDraw {
+  double x = 0.0;
+  double log_density = 0.0;
+};
+
 /// One slice-sampling transition from `x0` targeting exp(log_density).
 ///
 /// `log_density` may return -inf outside the support; `x0` must have finite
@@ -40,5 +46,13 @@ struct SliceOptions {
 /// would just return -inf).
 double slice_sample(random::Rng& rng, double x0, LogDensityRef log_density,
                     const SliceOptions& options);
+
+/// The same transition for a caller that already knows the log density at
+/// `x0` (`log_density_x0`, finite): `log_density` is never called at x0, and
+/// the density at the returned point is reported with it. From the same
+/// RNG state it draws exactly what the form above draws, so a Gibbs scan
+/// can chain coordinate moves without re-evaluating each starting point.
+SliceDraw slice_sample(random::Rng& rng, double x0, double log_density_x0,
+                       LogDensityRef log_density, const SliceOptions& options);
 
 }  // namespace srm::mcmc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "support/error.hpp"
 #include "support/fp.hpp"
@@ -10,6 +11,35 @@
 namespace srm::random {
 
 namespace {
+
+// x in (0, x_upper] with log P(a, x) = log_p, for log_p <= log P(a, x_upper):
+// Newton on t = log x inside a bracket. P(a, x) <= x^a / Gamma(a + 1)
+// places the lower end, x_upper the upper one, and the root sits close
+// below x_upper wherever the cap underflows, so Newton starts there.
+double inverse_log_regularized_gamma_p(double a, double log_p,
+                                       double x_upper) {
+  const double log_gamma_a = math::lgamma(a);
+  double hi = std::log(x_upper);
+  double lo = std::min((log_p + math::lgamma(a + 1.0)) / a, hi);
+  double t = hi;
+  for (int iter = 0; iter < 200; ++iter) {
+    const double x = std::exp(t);
+    const double log_px = math::log_regularized_gamma_p(a, x);
+    const double f = log_px - log_p;
+    if (f > 0.0) {
+      hi = t;
+    } else {
+      lo = t;
+    }
+    // d/dt log P(a, e^t) = x^a e^{-x} / (Gamma(a) P(a, x)).
+    const double slope = std::exp(a * t - x - log_gamma_a - log_px);
+    double next = t - f / slope;
+    if (!(next > lo && next < hi)) next = 0.5 * (lo + hi);
+    if (std::abs(next - t) <= 1e-15 * (1.0 + std::abs(t))) return std::exp(next);
+    t = next;
+  }
+  return std::exp(t);
+}
 
 // Poisson by multiplicative inversion — O(mean), good for mean <~ 30.
 std::int64_t poisson_inversion(Rng& rng, double mean) {
@@ -191,13 +221,17 @@ double sample_truncated_gamma(Rng& rng, double shape, double rate,
   SRM_EXPECTS(rate > 0.0, "sample_truncated_gamma requires rate > 0");
   SRM_EXPECTS(upper > 0.0, "sample_truncated_gamma requires upper > 0");
   const double cap = math::regularized_gamma_p(shape, rate * upper);
-  if (cap <= 0.0) {
-    // All mass numerically beyond `upper`; the distribution piles up at the
-    // boundary — return it (happens only for extreme shape/upper ratios).
-    return upper;
+  if (cap >= std::numeric_limits<double>::min()) {
+    const double u = rng.uniform_open() * cap;
+    const double x = math::inverse_regularized_gamma_p(shape, u) / rate;
+    return std::min(x, upper);
   }
-  const double u = rng.uniform_open() * cap;
-  const double x = math::inverse_regularized_gamma_p(shape, u) / rate;
+  // The cap is subnormal or 0 (deep left tail, shapes in the thousands):
+  // u * cap has lost its digits, so invert in the log domain instead.
+  const double log_target = std::log(rng.uniform_open()) +
+                            math::log_regularized_gamma_p(shape, rate * upper);
+  const double x =
+      inverse_log_regularized_gamma_p(shape, log_target, rate * upper) / rate;
   return std::min(x, upper);
 }
 

@@ -51,7 +51,9 @@ std::int64_t sample_negative_binomial(Rng& rng, double alpha, double beta);
 
 /// Gamma(shape, rate) truncated to (0, upper]. Uses inverse-CDF through the
 /// regularized incomplete gamma, so it is exact (no rejection loops that
-/// could stall when the truncation removes most of the mass).
+/// could stall when the truncation removes most of the mass). Where the
+/// kept mass P(shape, rate * upper) is below DBL_MIN, down to exactly 0 in
+/// double, the inversion runs on log P instead.
 double sample_truncated_gamma(Rng& rng, double shape, double rate,
                               double upper);
 

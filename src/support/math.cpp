@@ -169,7 +169,7 @@ double log_sum_exp(std::span<const double> values) {
 }
 
 double log1mexp(double x) {
-  SRM_EXPECTS(x < 0.0, "log1mexp requires x < 0");
+  SRM_EXPECTS(x <= 0.0, "log1mexp requires x <= 0");
   // Maechler (2012): switch point at -log 2 minimizes rounding error.
   constexpr double kLog2 = 0.6931471805599453;
   if (x > -kLog2) return std::log(-std::expm1(x));

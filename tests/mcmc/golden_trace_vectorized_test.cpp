@@ -78,20 +78,22 @@ struct VectorizedCase {
 
 // Captured at the introduction of the SIMD layer with the exact options
 // above (same geometry as the scalar golden set); the collapsed negbin
-// digests re-pinned with the scalar ones under artifact schema version 2.
+// digests re-pinned with the scalar ones under artifact schema version 2,
+// and every collapsed digest under version 3, when both modes' zeta block
+// moved to the same scalar evaluators: they now equal the scalar digests.
 constexpr VectorizedCase kVectorizedCases[] = {
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 2,
-     0xabe4507312dc017aULL},
+     0x89c717aa1c6ccba2ULL},
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 3,
-     0xc8710c092693ba65ULL},
+     0xb5228d905b56b28aULL},
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 4,
-     0x94f14f3f8e7ae94bULL},
+     0xc0b75a4e257d199eULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 2,
-     0xdc2b0799d764fa45ULL},
+     0x2fda78e2accfc46bULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 3,
-     0x07845a77b7e5e539ULL},
+     0x27915282f443a94dULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 4,
-     0x237ce42067affa96ULL},
+     0x4702f6b87e864214ULL},
     {SamplerScheme::kVanilla, PriorKind::kPoisson, 2, 0xe5a5fe8e3b6d2c26ULL},
     {SamplerScheme::kVanilla, PriorKind::kPoisson, 3, 0x163924ee93faa2abULL},
     {SamplerScheme::kVanilla, PriorKind::kPoisson, 4, 0xb9fac956ef8d99b5ULL},

@@ -182,6 +182,60 @@ TEST(SliceSampler, ClampedBracketStillSamplesCorrectly) {
   EXPECT_NEAR(sum_sq / n_samples, 1.0 / 3.0, 0.01);
 }
 
+TEST(SliceSampler, KnownDensityFormDrawsTheSameSequence) {
+  // From the same RNG stream the known-density form must draw exactly what
+  // the 4-argument form draws, without ever evaluating at x0, and report
+  // the density at the point it returns.
+  const auto log_density = [](double x) {
+    return std::log(x) * 1.5 + std::log1p(-x) * 4.0;  // Beta(2.5, 5) kernel
+  };
+  SliceOptions options;
+  options.lower = 0.0;
+  options.upper = 1.0;
+  options.initial_width = 0.2;
+  Rng rng_plain(11);
+  Rng rng_known(11);
+  double x_plain = 0.3;
+  double x_known = 0.3;
+  double density_known = log_density(x_known);
+  int evaluations_at_x0 = 0;
+  for (int i = 0; i < 5000; ++i) {
+    x_plain = slice_sample(rng_plain, x_plain, log_density, options);
+    const double x0 = x_known;
+    const auto counted = [&](double x) {
+      if (x == x0) ++evaluations_at_x0;
+      return log_density(x);
+    };
+    const auto draw =
+        slice_sample(rng_known, x_known, density_known, counted, options);
+    ASSERT_EQ(draw.x, x_plain) << "transition " << i;
+    ASSERT_EQ(draw.log_density, log_density(draw.x)) << "transition " << i;
+    x_known = draw.x;
+    density_known = draw.log_density;
+  }
+  EXPECT_EQ(evaluations_at_x0, 0);
+  EXPECT_EQ(rng_plain.uniform(), rng_known.uniform());
+}
+
+TEST(SliceSampler, KnownDensityFormReportsX0WhenTheBracketCollapses) {
+  // With one shrink step and a density below every slice level away from
+  // x0, the transition keeps x0 and reports the density it was given.
+  Rng rng(12);
+  SliceOptions options;
+  options.lower = 0.0;
+  options.upper = 1.0;
+  options.max_shrink = 1;
+  const auto spike = [](double) { return -1e9; };
+  const auto draw = slice_sample(rng, 0.5, -0.25, spike, options);
+  EXPECT_EQ(draw.x, 0.5);
+  EXPECT_EQ(draw.log_density, -0.25);
+  EXPECT_THROW(
+      (void)slice_sample(rng, 0.5,
+                         -std::numeric_limits<double>::infinity(), spike,
+                         options),
+      srm::InvalidArgument);
+}
+
 TEST(SliceSampler, InvalidArgumentsThrow) {
   Rng rng(6);
   SliceOptions options;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -257,6 +258,74 @@ TEST(TruncatedGammaSampler, HeavyTruncationMean) {
     return srm::random::sample_truncated_gamma(r, 137.0, 1.0, 100.0);
   });
   EXPECT_NEAR(m.mean, true_mean, 0.05);
+}
+
+/// rate * upper at which log P(shape, .) equals `log_cap`, by bisection.
+double bound_for_log_cap(double shape, double log_cap) {
+  double lo = 0.0;
+  double hi = shape;
+  for (int iter = 0; iter < 200; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (srm::math::log_regularized_gamma_p(shape, mid) < log_cap) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return hi;
+}
+
+TEST(TruncatedGammaSampler, UnderflowingCapsInvertInTheLogDomain) {
+  // Caps P(shape, rate * upper) from subnormal down to exactly 0: every
+  // draw lies in (0, upper], and P(shape, rate * x) / cap, formed in the
+  // log domain, is uniform (Kolmogorov-Smirnov distance within the 1 %
+  // critical value 1.63 / sqrt(n)).
+  struct Case {
+    double shape;
+    double x_upper;  // rate * upper
+  };
+  std::vector<Case> cases = {
+      {1000.0, 0.22 * 1000.0},  // P = 2.4e-321
+      {4000.0, 0.51 * 4000.0},  // P = 4.1e-321
+      {12000.0, 0.69 * 12000.0},  // P = 6.8e-321
+  };
+  for (const double shape : {300.0, 1000.0, 4000.0, 1e5}) {
+    for (const double log_cap : {std::log(1e-310), std::log(1e-320), -800.0,
+                                 -5000.0}) {
+      cases.push_back({shape, bound_for_log_cap(shape, log_cap)});
+    }
+  }
+  constexpr int kDraws = 400;
+  const double rate = 0.5;
+  Rng rng(2026);
+  for (const auto& c : cases) {
+    const double cap = srm::math::regularized_gamma_p(c.shape, c.x_upper);
+    ASSERT_LT(cap, std::numeric_limits<double>::min())
+        << "shape=" << c.shape << " x_upper=" << c.x_upper;
+    const double log_cap =
+        srm::math::log_regularized_gamma_p(c.shape, c.x_upper);
+    const double upper = c.x_upper / rate;
+    std::vector<double> u;
+    for (int i = 0; i < kDraws; ++i) {
+      double x = 0.0;
+      ASSERT_NO_THROW(x = srm::random::sample_truncated_gamma(rng, c.shape,
+                                                              rate, upper))
+          << "shape=" << c.shape << " x_upper=" << c.x_upper;
+      ASSERT_GT(x, 0.0);
+      ASSERT_LE(x, upper);
+      u.push_back(std::exp(
+          srm::math::log_regularized_gamma_p(c.shape, rate * x) - log_cap));
+    }
+    std::sort(u.begin(), u.end());
+    double distance = 0.0;
+    for (int i = 0; i < kDraws; ++i) {
+      const double value = u[static_cast<std::size_t>(i)];
+      distance = std::max({distance, (i + 1.0) / kDraws - value,
+                           value - static_cast<double>(i) / kDraws});
+    }
+    EXPECT_LT(distance, 1.63 / std::sqrt(static_cast<double>(kDraws)))
+        << "shape=" << c.shape << " log cap=" << log_cap;
+  }
 }
 
 TEST(CategoricalSampler, MatchesWeights) {
