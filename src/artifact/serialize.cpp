@@ -1,6 +1,8 @@
 #include "artifact/serialize.hpp"
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 
 #include "support/error.hpp"
 
@@ -58,10 +60,6 @@ Json to_json(const mcmc::GibbsOptions& gibbs) {
   json.set("seed", static_cast<std::int64_t>(gibbs.seed));
   json.set("parallel_chains", gibbs.parallel_chains);
   json.set("keep_traces", gibbs.keep_traces);
-  // Omit-if-false so artifacts written by scalar runs keep their exact
-  // pre-flag bytes (resume diffs them byte for byte).
-  if (gibbs.vectorized) json.set("vectorized", true);
-  if (gibbs.chain_lanes) json.set("chain_lanes", true);
   return json;
 }
 
@@ -74,12 +72,14 @@ mcmc::GibbsOptions gibbs_options_from_json(const Json& json) {
   gibbs.seed = static_cast<std::uint64_t>(json.at("seed").as_int());
   gibbs.parallel_chains = json.at("parallel_chains").as_bool();
   gibbs.keep_traces = json.at("keep_traces").as_bool();
-  // Optional for backward compatibility: pre-SIMD artifacts lack the key.
-  if (const Json* vectorized = json.find("vectorized")) {
-    gibbs.vectorized = vectorized->as_bool();
-  }
-  if (const Json* lanes = json.find("chain_lanes")) {
-    gibbs.chain_lanes = lanes->as_bool();
+  // Specs written by the removed SIMD sampler forks carry one of these
+  // members. Their draws never came from the scalar scan, so loading them
+  // as default-path specs would misdescribe the stored results.
+  for (const std::string_view fork : {"vectorized", "chain_lanes"}) {
+    if (json.find(fork) != nullptr) {
+      throw InvalidArgument("gibbs member \"" + std::string(fork) +
+                            "\" names a removed sampler fork");
+    }
   }
   return gibbs;
 }

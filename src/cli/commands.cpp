@@ -114,11 +114,6 @@ mcmc::GibbsOptions parse_gibbs(const Args& args) {
   // retained draw count); --keep-traces restores full chain storage.
   // Commands that consume the raw run (predict, release) force it back on.
   gibbs.keep_traces = args.has("keep-traces");
-  // Opt-in SIMD batch kernels; forks result identity (see GibbsOptions).
-  gibbs.vectorized = args.has("vectorized");
-  // Opt-in lane-parallel chain executor; its own identity fork, orthogonal
-  // to --vectorized (see GibbsOptions::chain_lanes).
-  gibbs.chain_lanes = args.has("chain-lanes");
   return gibbs;
 }
 
@@ -233,17 +228,10 @@ int run_select(const Args& args, std::ostream& out) {
   };
   std::vector<Row> rows;
   // The selection grid is the registry: every family's selection_models
-  // columns, in registration order. Families lacking a requested result-
-  // identity fork are excluded from that fork's grid (they have no sampler
-  // for it), keeping the fork runs deterministic.
+  // columns, in registration order.
   for (const auto& entry : core::model_families().families()) {
-    if ((gibbs.vectorized && !entry.supports_vectorized) ||
-        (gibbs.chain_lanes && !entry.supports_chain_lanes)) {
-      continue;
-    }
     for (const auto kind : entry.selection_models) {
-      const auto model = core::make_model(entry.kind, kind, data, config,
-                                          gibbs);
+      const auto model = core::make_model(entry.kind, kind, data, config);
       Row row{entry.id, core::to_string(kind), {}, 0.0, {}, 0.0};
       if (gibbs.keep_traces) {
         const auto run = mcmc::run_gibbs(*model, gibbs);
@@ -450,7 +438,7 @@ int run_release(const Args& args, std::ostream& out) {
       static_cast<std::size_t>(args.get_int("horizon", 60));
   reject_unused(args);
 
-  const auto model = core::make_model(prior, kind, data, config, gibbs);
+  const auto model = core::make_model(prior, kind, data, config);
   const auto run = mcmc::run_gibbs(*model, gibbs);
   const auto posterior = core::summarize_residual_posterior(run);
   const auto [lo, hi] = posterior.credible_interval(0.95);
@@ -502,8 +490,6 @@ int run_sweep(const Args& args, std::ostream& out) {
   options.gibbs.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<std::int64_t>(options.gibbs.seed)));
   if (args.has("keep-traces")) options.gibbs.keep_traces = true;
-  if (args.has("vectorized")) options.gibbs.vectorized = true;
-  if (args.has("chain-lanes")) options.gibbs.chain_lanes = true;
   options.base_config.lambda_max =
       args.get_double("lambda-max", options.base_config.lambda_max);
   options.base_config.alpha_max =
@@ -571,7 +557,7 @@ int run_families(const Args& args, std::ostream& out) {
     return 0;
   }
   support::Table t("registered model families");
-  t.set_header({"id", "family", "models", "hyper-parameters", "forks"});
+  t.set_header({"id", "family", "models", "hyper-parameters"});
   for (const auto& entry : core::model_families().families()) {
     std::string models;
     for (const auto kind : entry.accepted_models) {
@@ -583,11 +569,7 @@ int run_families(const Args& args, std::ostream& out) {
       if (!hyper.empty()) hyper += ' ';
       hyper += name;
     }
-    std::string forks;
-    if (entry.supports_vectorized) forks += "vectorized ";
-    if (entry.supports_chain_lanes) forks += "chain-lanes";
-    if (forks.empty()) forks = "scalar only";
-    t.add_row({entry.id, entry.display_name, models, hyper, forks});
+    t.add_row({entry.id, entry.display_name, models, hyper});
   }
   out << t.render();
   return 0;
@@ -633,13 +615,6 @@ std::string usage() {
       "  --thin N        keep every N-th retained scan (default 1)\n"
       "  --keep-traces   store full chains instead of streaming accumulators\n"
       "                  (identical output; only memory use differs)\n"
-      "  --vectorized    SIMD detection kernels for model2/3/4 (faster, but\n"
-      "                  draws differ from scalar at the ULP level, so\n"
-      "                  artifact/serve hashes change with this flag)\n"
-      "  --chain-lanes   run up to 4 chains packed in SIMD lanes (every\n"
-      "                  model; per-chain draws identical for any lane or\n"
-      "                  thread count, but a fork from the scalar path, so\n"
-      "                  hashes change with this flag too)\n"
       "  --lambda-max, --alpha-max, --theta-max, --jeffreys,\n"
       "  --threads N  worker threads for chains/sweeps/scoring\n"
       "               (0 = all hardware threads; SRM_THREADS env also works;\n"

@@ -35,15 +35,10 @@
 
 namespace srm::core {
 
-class BayesianSrm final : public SrmModel, public mcmc::LaneGibbsModel {
+class BayesianSrm final : public SrmModel {
  public:
-  /// `vectorized` routes the detection batch channels and the pointwise
-  /// log-likelihood fill through the support/simd kernels (models that
-  /// have them; see GibbsOptions::vectorized). Default off: the scalar
-  /// path stays bit-identical to earlier releases.
   BayesianSrm(PriorKind prior, DetectionModelKind model_kind,
-              data::BugCountData data, HyperPriorConfig config = {},
-              bool vectorized = false);
+              data::BugCountData data, HyperPriorConfig config = {});
 
   /// Per-chain scratch buffers for a full Gibbs scan, sized once from
   /// days() and parameter_count(). Threading one of these through update()
@@ -60,32 +55,9 @@ class BayesianSrm final : public SrmModel, public mcmc::LaneGibbsModel {
     std::vector<double> proposal;       ///< mode-jump candidate
     std::vector<double> probabilities;  ///< p_1..p_k channel
     std::vector<double> log_survivals;  ///< log q_1..log q_k channel
-    std::vector<double> log_p;          ///< log p_i sweep (vectorized fill)
-    std::vector<double> log_1mp;        ///< log(1-p_i) sweep (vectorized)
     /// Data sums of the collapsed zeta-density, prepared per coordinate;
     /// built by the first collapsed scan.
     std::unique_ptr<CollapsedEvaluator> evaluator;
-  };
-
-  /// Shared scratch for a pack of up to kChainLanes chains advancing in
-  /// SIMD lanes (GibbsOptions::chain_lanes). The zeta/probe/proposal
-  /// blocks are parameter-major SoA (`[param * lane_width + lane]`), the
-  /// detection channels day-major SoA with the same stride, and the
-  /// observation columns are cached as exact doubles so the masked lane
-  /// reductions never re-convert. Like Workspace, it carries no sampler
-  /// state.
-  class LaneWorkspace final : public mcmc::GibbsWorkspace {
-   public:
-    LaneWorkspace(const BayesianSrm& model, std::size_t lane_count);
-
-   private:
-    friend class BayesianSrm;
-    std::size_t lane_count;             ///< chains actually packed (1..4)
-    std::vector<double> zeta_soa;       ///< zeta blocks under update
-    std::vector<double> probe_soa;      ///< zeta with one coordinate probed
-    std::vector<double> proposal_soa;   ///< mode-jump candidates
-    std::vector<double> probabilities;  ///< p channel, day-major SoA
-    std::vector<double> log_survivals;  ///< log q channel, day-major SoA
   };
 
   // --- mcmc::GibbsModel -------------------------------------------------
@@ -97,15 +69,6 @@ class BayesianSrm final : public SrmModel, public mcmc::LaneGibbsModel {
   void update(std::vector<double>& state, random::Rng& rng,
               mcmc::GibbsWorkspace* workspace) const override;
   using mcmc::GibbsModel::update;
-
-  // --- mcmc::LaneGibbsModel (see src/core/bayes_srm_lanes.cpp) ----------
-  [[nodiscard]] std::size_t lane_width() const override;
-  [[nodiscard]] std::unique_ptr<mcmc::GibbsWorkspace> make_lane_workspace(
-      std::size_t lane_count) const override;
-  void update_lanes(std::size_t lane_count,
-                    std::vector<double>* const* states,
-                    random::Rng* const* rngs,
-                    mcmc::GibbsWorkspace& workspace) const override;
 
   // --- core::SrmModel ----------------------------------------------------
   [[nodiscard]] PriorKind family() const override { return prior_; }
@@ -193,7 +156,7 @@ class BayesianSrm final : public SrmModel, public mcmc::LaneGibbsModel {
                                              Workspace& workspace) const;
   /// Collapsed marginal log-density of zeta from base(zeta) and
   /// log Q = sum_i log q_i: lambda0 integrated out (Poisson), or at fixed
-  /// (alpha0, beta' = `thinned`) (NB). Shared by the scalar and lane scans.
+  /// (alpha0, beta' = `thinned`) (NB).
   [[nodiscard]] double collapsed_log_density(double base, double log_survival,
                                              double thinned) const;
   /// collapsed_log_density of evaluator sums; -inf where base is.
@@ -210,27 +173,8 @@ class BayesianSrm final : public SrmModel, public mcmc::LaneGibbsModel {
   [[nodiscard]] std::int64_t initial_bugs_of(
       std::span<const double> state) const;
 
-  // --- lane-parallel scan internals (src/core/bayes_srm_lanes.cpp) ------
-  /// prod q_i per lane at ws.zeta_soa, through the lane detection channel.
-  void lane_survivals(LaneWorkspace& ws, double* survivals) const;
-  /// Collapsed marginal log-density of each lane's zeta block in
-  /// `zeta_soa` (the lane analogue of update_zeta_collapsed's
-  /// log_density_of). Only lanes in `active` are written; `thinned` holds
-  /// the per-lane NB beta'.
-  void collapsed_density_lanes(const double* zeta_soa, unsigned active,
-                               const double* thinned, LaneWorkspace& ws,
-                               double* out) const;
-  void update_zeta_collapsed_lanes(std::vector<double>* const* states,
-                                   random::Rng* const* rngs,
-                                   LaneWorkspace& ws,
-                                   const double* thinned) const;
-  void update_zeta_lanes(std::vector<double>* const* states,
-                         random::Rng* const* rngs, LaneWorkspace& ws) const;
-
   /// Shared tail of the pointwise fills: combines the fresh probability
-  /// buffer in `workspace` into per-day log-likelihood terms. The scalar
-  /// path is the historical per-day loop; the vectorized path sweeps
-  /// log(p) / log(1-p) through the simd kernels first.
+  /// buffer in `workspace` into per-day log-likelihood terms.
   void fill_pointwise(std::int64_t initial_bugs, Workspace& workspace,
                       std::span<double> out) const;
 
@@ -238,7 +182,6 @@ class BayesianSrm final : public SrmModel, public mcmc::LaneGibbsModel {
   std::unique_ptr<DetectionModel> model_;
   data::BugCountData data_;
   HyperPriorConfig config_;
-  bool vectorized_ = false;
   std::vector<ParameterSupport> zeta_supports_;
 };
 

@@ -68,8 +68,8 @@ class CollapsedEvaluator {
 };
 
 /// The evaluator of `model` over `data`: the sufficient-statistic form for
-/// model0..model4 (whatever `vectorized` flag the model carries), the
-/// channel evaluator for every other kind. `model` must outlive it.
+/// model0..model4, the channel evaluator for every other kind. `model`
+/// must outlive it.
 std::unique_ptr<CollapsedEvaluator> make_collapsed_evaluator(
     const DetectionModel& model, const data::BugCountData& data);
 

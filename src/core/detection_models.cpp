@@ -4,7 +4,6 @@
 #include <limits>
 #include <cmath>
 
-#include "core/detection_simd.hpp"
 #include "core/detection_tables.hpp"
 #include "core/size_biased.hpp"
 #include "support/error.hpp"
@@ -134,7 +133,6 @@ class PadgettSpurrierModel final : public DetectionModel {
 
 class LogLogisticModel final : public DetectionModel {
  public:
-  explicit LogLogisticModel(bool vectorized) : vectorized_(vectorized) {}
   DetectionModelKind kind() const override {
     return DetectionModelKind::kLogLogistic;
   }
@@ -170,11 +168,6 @@ class LogLogisticModel final : public DetectionModel {
                           std::span<double> out) const override {
     check_batch(*this, days, zeta, out);
     const auto& log_day = day_tables(days).log_day;
-    if (vectorized_) {
-      simd_kernels::loglogistic_detection(days, zeta[0], zeta[1], log_day,
-                                          out, {});
-      return;
-    }
     const double mu = zeta[0];
     const double gamma = zeta[1];
     const double one_minus_mu = 1.0 - mu;
@@ -187,11 +180,6 @@ class LogLogisticModel final : public DetectionModel {
                           std::span<double> out) const override {
     check_batch(*this, days, zeta, out);
     const auto& log_day = day_tables(days).log_day;
-    if (vectorized_) {
-      simd_kernels::loglogistic_detection(days, zeta[0], zeta[1], log_day,
-                                          {}, out);
-      return;
-    }
     const double mu = zeta[0];
     const double gamma = zeta[1];
     for (std::size_t day = 1; day <= days; ++day) {
@@ -207,12 +195,6 @@ class LogLogisticModel final : public DetectionModel {
     check_batch(*this, days, zeta, probabilities_out);
     check_batch(*this, days, zeta, log_survivals_out);
     const auto& log_day = day_tables(days).log_day;
-    if (vectorized_) {
-      simd_kernels::loglogistic_detection(days, zeta[0], zeta[1], log_day,
-                                          probabilities_out,
-                                          log_survivals_out);
-      return;
-    }
     const double mu = zeta[0];
     const double gamma = zeta[1];
     const double one_minus_mu = 1.0 - mu;
@@ -225,14 +207,10 @@ class LogLogisticModel final : public DetectionModel {
           !std::isfinite(t) ? 0.0 : std::log(t + mu) - std::log1p(t);
     }
   }
-
- private:
-  bool vectorized_ = false;
 };
 
 class ParetoModel final : public DetectionModel {
  public:
-  explicit ParetoModel(bool vectorized) : vectorized_(vectorized) {}
   DetectionModelKind kind() const override {
     return DetectionModelKind::kPareto;
   }
@@ -262,10 +240,6 @@ class ParetoModel final : public DetectionModel {
                           std::span<double> out) const override {
     check_batch(*this, days, zeta, out);
     const auto& exponents = day_tables(days).pareto_exponent;
-    if (vectorized_) {
-      simd_kernels::pareto_detection(days, zeta[0], exponents, out, {});
-      return;
-    }
     const double mu = zeta[0];
     for (std::size_t day = 1; day <= days; ++day) {
       out[day - 1] = 1.0 - std::pow(mu, exponents[day - 1]);
@@ -275,10 +249,6 @@ class ParetoModel final : public DetectionModel {
                           std::span<double> out) const override {
     check_batch(*this, days, zeta, out);
     const auto& exponents = day_tables(days).pareto_exponent;
-    if (vectorized_) {
-      simd_kernels::pareto_detection(days, zeta[0], exponents, {}, out);
-      return;
-    }
     const double log_mu = std::log(zeta[0]);
     for (std::size_t day = 1; day <= days; ++day) {
       out[day - 1] = exponents[day - 1] * log_mu;
@@ -290,11 +260,6 @@ class ParetoModel final : public DetectionModel {
     check_batch(*this, days, zeta, probabilities_out);
     check_batch(*this, days, zeta, log_survivals_out);
     const auto& exponents = day_tables(days).pareto_exponent;
-    if (vectorized_) {
-      simd_kernels::pareto_detection(days, zeta[0], exponents,
-                                     probabilities_out, log_survivals_out);
-      return;
-    }
     const double mu = zeta[0];
     const double log_mu = std::log(mu);
     for (std::size_t day = 1; day <= days; ++day) {
@@ -303,14 +268,10 @@ class ParetoModel final : public DetectionModel {
       log_survivals_out[day - 1] = exponent * log_mu;
     }
   }
-
- private:
-  bool vectorized_ = false;
 };
 
 class WeibullModel final : public DetectionModel {
  public:
-  explicit WeibullModel(bool vectorized) : vectorized_(vectorized) {}
   DetectionModelKind kind() const override {
     return DetectionModelKind::kWeibull;
   }
@@ -346,11 +307,6 @@ class WeibullModel final : public DetectionModel {
   void probabilities_into(std::size_t days, std::span<const double> zeta,
                           std::span<double> out) const override {
     check_batch(*this, days, zeta, out);
-    if (vectorized_) {
-      simd_kernels::weibull_detection(days, zeta[0], zeta[1],
-                                      day_tables(days).log_day, out, {});
-      return;
-    }
     const double mu = zeta[0];
     const double omega = zeta[1];
     double prev = std::pow(0.0, omega);
@@ -363,11 +319,6 @@ class WeibullModel final : public DetectionModel {
   void log_survivals_into(std::size_t days, std::span<const double> zeta,
                           std::span<double> out) const override {
     check_batch(*this, days, zeta, out);
-    if (vectorized_) {
-      simd_kernels::weibull_detection(days, zeta[0], zeta[1],
-                                      day_tables(days).log_day, {}, out);
-      return;
-    }
     const double omega = zeta[1];
     const double log_mu = std::log(zeta[0]);
     double prev = std::pow(0.0, omega);
@@ -382,12 +333,6 @@ class WeibullModel final : public DetectionModel {
                       std::span<double> log_survivals_out) const override {
     check_batch(*this, days, zeta, probabilities_out);
     check_batch(*this, days, zeta, log_survivals_out);
-    if (vectorized_) {
-      simd_kernels::weibull_detection(days, zeta[0], zeta[1],
-                                      day_tables(days).log_day,
-                                      probabilities_out, log_survivals_out);
-      return;
-    }
     const double mu = zeta[0];
     const double omega = zeta[1];
     const double log_mu = std::log(mu);
@@ -400,9 +345,6 @@ class WeibullModel final : public DetectionModel {
       prev = cur;
     }
   }
-
- private:
-  bool vectorized_ = false;
 };
 
 class RayleighModel final : public DetectionModel {
@@ -647,19 +589,18 @@ std::vector<double> DetectionModel::probabilities(
   return p;
 }
 
-std::unique_ptr<DetectionModel> make_detection_model(DetectionModelKind kind,
-                                                     bool vectorized) {
+std::unique_ptr<DetectionModel> make_detection_model(DetectionModelKind kind) {
   switch (kind) {
     case DetectionModelKind::kConstant:
       return std::make_unique<ConstantModel>();
     case DetectionModelKind::kPadgettSpurrier:
       return std::make_unique<PadgettSpurrierModel>();
     case DetectionModelKind::kLogLogistic:
-      return std::make_unique<LogLogisticModel>(vectorized);
+      return std::make_unique<LogLogisticModel>();
     case DetectionModelKind::kPareto:
-      return std::make_unique<ParetoModel>(vectorized);
+      return std::make_unique<ParetoModel>();
     case DetectionModelKind::kWeibull:
-      return std::make_unique<WeibullModel>(vectorized);
+      return std::make_unique<WeibullModel>();
     case DetectionModelKind::kRayleigh:
       return std::make_unique<RayleighModel>();
     case DetectionModelKind::kLearningCurve:

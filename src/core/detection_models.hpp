@@ -159,13 +159,7 @@ class DetectionModel {
       std::size_t days, std::span<const double> zeta) const;
 };
 
-/// Factory for the five paper models (plus extensions). With `vectorized`
-/// set, the pow/log-heavy kinds (model2/3/4) route their batch channels
-/// through the support/simd kernels in detection_simd.hpp — faster but
-/// only ULP-equivalent to the scalar channel, which is why the flag rides
-/// on GibbsOptions and forks every downstream result identity. The
-/// scalar-channel kinds ignore it.
-std::unique_ptr<DetectionModel> make_detection_model(DetectionModelKind kind,
-                                                     bool vectorized = false);
+/// Factory for the five paper models (plus extensions).
+std::unique_ptr<DetectionModel> make_detection_model(DetectionModelKind kind);
 
 }  // namespace srm::core

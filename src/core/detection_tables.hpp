@@ -1,7 +1,6 @@
 // Day-indexed constant tables shared by the detection models' batch
-// channels. Model2 consumes log(d), model3 consumes log(d+2)/(d+1), and
-// the vectorized Weibull kernel reuses log(d) to form d^omega; before this
-// helper each model grew its own thread_local cache inside
+// channels. Model2 consumes log(d) and model3 consumes log(d+2)/(d+1);
+// before this helper each model grew its own thread_local cache inside
 // detection_models.cpp with the same lifecycle duplicated per table.
 #pragma once
 

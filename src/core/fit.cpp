@@ -40,8 +40,8 @@ ObservationResult fit_cell(const data::BugCountData& base,
   SRM_EXPECTS(request.observation_day >= 1, "observation day must be >= 1");
   const auto observed = dataset_at_observation(base, request.observation_day);
 
-  const auto model_ptr = make_model(request.prior, request.model, observed,
-                                    request.config, request.gibbs);
+  const auto model_ptr =
+      make_model(request.prior, request.model, observed, request.config);
   const SrmModel& model = *model_ptr;
 
   // Every per-parameter statistic and the residual summary come from these

@@ -40,13 +40,11 @@ void register_poisson_family(ModelFamilyRegistry& registry) {
   family.default_model = DetectionModelKind::kConstant;
   family.hyper_parameter_names = {"lambda0"};
   family.tuned_scale = TunedScale::kLambdaMax;
-  family.supports_vectorized = true;
-  family.supports_chain_lanes = true;
   family.make = [](DetectionModelKind model, data::BugCountData data,
-                   const HyperPriorConfig& config,
-                   bool vectorized) -> std::unique_ptr<SrmModel> {
+                   const HyperPriorConfig& config)
+      -> std::unique_ptr<SrmModel> {
     return std::make_unique<BayesianSrm>(PriorKind::kPoisson, model,
-                                         std::move(data), config, vectorized);
+                                         std::move(data), config);
   };
   registry.add(std::move(family));
 }
@@ -71,13 +69,11 @@ void register_negative_binomial_family(ModelFamilyRegistry& registry) {
   family.default_model = DetectionModelKind::kConstant;
   family.hyper_parameter_names = {"alpha0", "beta0"};
   family.tuned_scale = TunedScale::kAlphaMax;
-  family.supports_vectorized = true;
-  family.supports_chain_lanes = true;
   family.make = [](DetectionModelKind model, data::BugCountData data,
-                   const HyperPriorConfig& config,
-                   bool vectorized) -> std::unique_ptr<SrmModel> {
+                   const HyperPriorConfig& config)
+      -> std::unique_ptr<SrmModel> {
     return std::make_unique<BayesianSrm>(PriorKind::kNegativeBinomial, model,
-                                         std::move(data), config, vectorized);
+                                         std::move(data), config);
   };
   registry.add(std::move(family));
 }
@@ -196,43 +192,18 @@ void validate_family_model(PriorKind prior, DetectionModelKind model) {
                         "; use " + accepted_model_names(entry));
 }
 
-void validate_family_gibbs(PriorKind prior,
-                           const mcmc::GibbsOptions& gibbs) {
-  const ModelFamily& entry = family(prior);
-  if (gibbs.vectorized && !entry.supports_vectorized) {
-    throw InvalidArgument("family " + entry.id +
-                          " does not implement the --vectorized fork");
-  }
-  if (gibbs.chain_lanes && !entry.supports_chain_lanes) {
-    throw InvalidArgument("family " + entry.id +
-                          " does not implement the --chain-lanes fork");
-  }
-}
-
-std::unique_ptr<SrmModel> make_model(PriorKind prior,
-                                     DetectionModelKind model,
-                                     data::BugCountData data,
-                                     const HyperPriorConfig& config,
-                                     const mcmc::GibbsOptions& gibbs) {
-  validate_family_model(prior, model);
-  validate_family_gibbs(prior, gibbs);
-  return family(prior).make(model, std::move(data), config, gibbs.vectorized);
-}
-
 std::unique_ptr<SrmModel> make_model(PriorKind prior,
                                      DetectionModelKind model,
                                      data::BugCountData data,
                                      const HyperPriorConfig& config) {
   validate_family_model(prior, model);
-  return family(prior).make(model, std::move(data), config,
-                            /*vectorized=*/false);
+  return family(prior).make(model, std::move(data), config);
 }
 
 std::string render_family_table_markdown() {
   std::string table =
-      "| Family | Id | Detection models | Hyper-parameters | Identity forks "
-      "| Reference |\n"
-      "| --- | --- | --- | --- | --- | --- |\n";
+      "| Family | Id | Detection models | Hyper-parameters | Reference |\n"
+      "| --- | --- | --- | --- | --- |\n";
   for (const ModelFamily& entry : model_families().families()) {
     table += "| ";
     table += entry.display_name;
@@ -251,16 +222,6 @@ std::string render_family_table_markdown() {
       table += '`';
       table += entry.hyper_parameter_names[i];
       table += '`';
-    }
-    table += " | ";
-    if (entry.supports_vectorized && entry.supports_chain_lanes) {
-      table += "vectorized, chain-lanes";
-    } else if (entry.supports_vectorized) {
-      table += "vectorized";
-    } else if (entry.supports_chain_lanes) {
-      table += "chain-lanes";
-    } else {
-      table += "scalar only";
     }
     table += " | ";
     table += entry.reference;

@@ -4,8 +4,7 @@
 //
 //   * construction: a factory returning the family's SrmModel (a
 //     mcmc::GibbsModel with the scoring/prediction channels the estimation
-//     pipeline needs), plus capability flags for the --vectorized and
-//     --chain-lanes result-identity forks;
+//     pipeline needs);
 //   * parameter metadata: hyper-parameter names and which hyperprior limit
 //     the WAIC tuning grid searches;
 //   * canonical serialization identity: the stable id string used by the
@@ -117,8 +116,8 @@ class SrmModel : public mcmc::GibbsModel {
 
   /// True when `workspace` came from this model's make_workspace() — i.e.
   /// pointwise_row may consume it. Streaming sinks receive whatever
-  /// workspace the sampler ran with (possibly a lane pack) and fall back to
-  /// their own per-chain workspace when this says no.
+  /// workspace the sampler ran with and fall back to their own per-chain
+  /// workspace when this says no.
   [[nodiscard]] virtual bool is_scan_workspace(
       const mcmc::GibbsWorkspace& workspace) const = 0;
 
@@ -162,16 +161,11 @@ struct ModelFamily {
   std::vector<std::string> hyper_parameter_names;
   /// Which hyperprior limit the tuning grid searches.
   TunedScale tuned_scale = TunedScale::kLambdaMax;
-  /// Result-identity forks the family's sampler implements. Requests that
-  /// set a fork the family lacks are rejected up front — never silently
-  /// run un-forked under a forked spec hash.
-  bool supports_vectorized = false;
-  bool supports_chain_lanes = false;
   /// Constructs the family's model for one estimation cell.
   std::unique_ptr<SrmModel> (*make)(DetectionModelKind model,
                                     data::BugCountData data,
-                                    const HyperPriorConfig& config,
-                                    bool vectorized) = nullptr;
+                                    const HyperPriorConfig& config) =
+      nullptr;
 };
 
 /// The registry. Instantiable for tests; library code uses the process
@@ -224,20 +218,8 @@ std::vector<PriorKind> reproduction_family_kinds();
 /// message lists the family's accepted detection-model names.
 void validate_family_model(PriorKind family, DetectionModelKind model);
 
-/// Throws support::InvalidArgument when `gibbs` requests a result-identity
-/// fork (vectorized / chain_lanes) the family does not implement.
-void validate_family_gibbs(PriorKind family, const mcmc::GibbsOptions& gibbs);
-
-/// Constructs the family's model after validate_family_model /
-/// validate_family_gibbs; the single construction path for fit/select/
-/// sweep/serve cells.
-std::unique_ptr<SrmModel> make_model(PriorKind family,
-                                     DetectionModelKind model,
-                                     data::BugCountData data,
-                                     const HyperPriorConfig& config,
-                                     const mcmc::GibbsOptions& gibbs);
-
-/// Overload for callers without Gibbs options (scalar, no identity forks).
+/// Constructs the family's model after validate_family_model; the single
+/// construction path for fit/select/sweep/serve cells.
 std::unique_ptr<SrmModel> make_model(PriorKind family,
                                      DetectionModelKind model,
                                      data::BugCountData data,

@@ -114,7 +114,7 @@ PredictiveSummary fit_and_score_holdout(const data::BugCountData& full,
   SRM_EXPECTS(fit_days >= 1 && fit_days < full.days(),
               "fit window must be a strict prefix");
   const auto model =
-      make_model(prior, model_kind, full.truncated(fit_days), config, gibbs);
+      make_model(prior, model_kind, full.truncated(fit_days), config);
   const auto run = mcmc::run_gibbs(*model, gibbs);
   return score_holdout(*model, run, full);
 }

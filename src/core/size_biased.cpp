@@ -432,13 +432,9 @@ void register_size_biased_family(ModelFamilyRegistry& registry) {
   family.default_model = DetectionModelKind::kSizeBiasedMultinomial;
   family.hyper_parameter_names = {"lambda0"};
   family.tuned_scale = TunedScale::kLambdaMax;
-  family.supports_vectorized = false;
-  family.supports_chain_lanes = false;
   family.make = [](DetectionModelKind model, data::BugCountData data,
-                   const HyperPriorConfig& config,
-                   bool vectorized) -> std::unique_ptr<SrmModel> {
-    SRM_EXPECTS(!vectorized,
-                "the size-biased family has no --vectorized fork");
+                   const HyperPriorConfig& config)
+      -> std::unique_ptr<SrmModel> {
     return std::make_unique<SizeBiasedSrm>(model, std::move(data), config);
   };
   registry.add(std::move(family));

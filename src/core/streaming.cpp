@@ -101,8 +101,8 @@ void StreamingScorer::accumulate(std::size_t chain,
               "chain delivered more draws than declared");
   mcmc::GibbsWorkspace* scan = workspace;
   if (scan == nullptr || !model_.is_scan_workspace(*scan)) {
-    // Stored-trace replay (or a foreign workspace type, e.g. a lane pack):
-    // score with a chain-local fallback workspace from the model itself.
+    // Stored-trace replay (or a foreign workspace type): score with a
+    // chain-local fallback workspace from the model itself.
     // Lazily built — the in-scan path never pays for it.
     if (slot.fallback == nullptr) {
       slot.fallback = model_.make_workspace();

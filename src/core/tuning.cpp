@@ -50,7 +50,7 @@ TuningResult tune_hyperparameters(const data::BugCountData& observed,
       }
       config.limits.theta_max = theta_max;
 
-      const auto srm = make_model(prior, model, observed, config, gibbs);
+      const auto srm = make_model(prior, model, observed, config);
       const auto run = mcmc::run_gibbs(*srm, gibbs);
       const auto waic = compute_waic(*srm, run);
       result.evaluated.push_back({config, waic});

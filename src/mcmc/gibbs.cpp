@@ -1,8 +1,5 @@
 #include "mcmc/gibbs.hpp"
 
-#include <algorithm>
-#include <utility>
-
 #include "mcmc/accumulator.hpp"
 #include "runtime/seed_sequence.hpp"
 #include "runtime/task_group.hpp"
@@ -40,103 +37,6 @@ void run_one_chain(const GibbsModel& model, const GibbsOptions& options,
   }
 }
 
-// One pack of up to lane_width chains advancing in SIMD lanes. The pack
-// shares a lane workspace and one update_lanes call per scan; everything
-// per-chain (seeding, initial state, trace retention, sink feeding) is
-// identical to run_one_chain, so the surrounding fan-out only changes the
-// unit of scheduling from one chain to one pack.
-void run_lane_pack(const LaneGibbsModel& lanes, const GibbsModel& model,
-                   const GibbsOptions& options, std::span<random::Rng> rngs,
-                   std::size_t first_chain, McmcRun& run,
-                   std::span<PosteriorAccumulator* const> sinks) {
-  const std::size_t lane_count = rngs.size();
-  const auto workspace = lanes.make_lane_workspace(lane_count);
-  std::vector<std::vector<double>> states(lane_count);
-  std::vector<std::vector<double>*> state_ptrs(lane_count);
-  std::vector<random::Rng*> rng_ptrs(lane_count);
-  for (std::size_t l = 0; l < lane_count; ++l) {
-    // Initial states draw through the model's scalar path with the lane's
-    // own stream — per-lane work on per-lane state, so the draw is the
-    // same whatever the pack size.
-    states[l] = model.initial_state(rngs[l]);
-    state_ptrs[l] = &states[l];
-    rng_ptrs[l] = &rngs[l];
-    if (options.keep_traces) {
-      run.chain(first_chain + l).reserve(options.iterations);
-    }
-  }
-  for (std::size_t i = 0; i < options.burn_in; ++i) {
-    lanes.update_lanes(lane_count, state_ptrs.data(), rng_ptrs.data(),
-                       *workspace);
-  }
-  for (std::size_t i = 0; i < options.iterations; ++i) {
-    for (std::size_t t = 0; t < options.thin; ++t) {
-      lanes.update_lanes(lane_count, state_ptrs.data(), rng_ptrs.data(),
-                         *workspace);
-    }
-    for (std::size_t l = 0; l < lane_count; ++l) {
-      if (options.keep_traces) {
-        run.chain(first_chain + l).append(states[l]);
-      }
-      for (PosteriorAccumulator* sink : sinks) {
-        // No per-chain scalar workspace exists in lane mode; sinks that
-        // can reuse one (StreamingScorer) lazily build a chain-local
-        // fallback on nullptr, which keeps their output bit-identical.
-        sink->accumulate(first_chain + l, states[l], nullptr);
-      }
-    }
-  }
-}
-
-McmcRun run_lane_gibbs(const GibbsModel& model, const GibbsOptions& options,
-                       std::span<PosteriorAccumulator* const> sinks) {
-  const auto* lanes = dynamic_cast<const LaneGibbsModel*>(&model);
-  SRM_EXPECTS(lanes != nullptr,
-              "GibbsOptions::chain_lanes requires a model implementing "
-              "LaneGibbsModel");
-  const std::size_t width = lanes->lane_width();
-  SRM_EXPECTS(width >= 1, "LaneGibbsModel must report lane_width >= 1");
-
-  McmcRun run(model.parameter_names(), options.chain_count);
-
-  // Chain seeding is byte-for-byte the scalar driver's: chain c always
-  // draws from stream c, so lane packing only regroups work, never
-  // re-seeds it.
-  runtime::SeedSequence seeds(options.seed);
-  auto chain_rngs = seeds.streams(options.chain_count);
-
-  // Fan out threads x lanes: each pack of up to `width` consecutive chains
-  // is one task; the pool supplies the thread axis.
-  const std::size_t packs = (options.chain_count + width - 1) / width;
-  const auto pack_span = [&](std::size_t pack) {
-    const std::size_t first = pack * width;
-    const std::size_t count =
-        std::min(width, options.chain_count - first);
-    return std::pair{first, count};
-  };
-  if (options.parallel_chains && packs > 1) {
-    runtime::TaskGroup group;
-    for (std::size_t pack = 0; pack < packs; ++pack) {
-      const auto [first, count] = pack_span(pack);
-      group.run([lanes, &model, &options, &chain_rngs, &run, sinks, first,
-                 count] {
-        run_lane_pack(*lanes, model, options,
-                      std::span(chain_rngs).subspan(first, count), first,
-                      run, sinks);
-      });
-    }
-    group.wait();
-  } else {
-    for (std::size_t pack = 0; pack < packs; ++pack) {
-      const auto [first, count] = pack_span(pack);
-      run_lane_pack(*lanes, model, options,
-                    std::span(chain_rngs).subspan(first, count), first, run,
-                    sinks);
-    }
-  }
-  return run;
-}
-
 }  // namespace
 
 McmcRun run_gibbs(const GibbsModel& model, const GibbsOptions& options,
@@ -144,8 +44,6 @@ McmcRun run_gibbs(const GibbsModel& model, const GibbsOptions& options,
   SRM_EXPECTS(options.chain_count >= 1, "run_gibbs requires >= 1 chain");
   SRM_EXPECTS(options.iterations >= 1, "run_gibbs requires >= 1 iteration");
   SRM_EXPECTS(options.thin >= 1, "run_gibbs requires thin >= 1");
-
-  if (options.chain_lanes) return run_lane_gibbs(model, options, sinks);
 
   McmcRun run(model.parameter_names(), options.chain_count);
 

@@ -66,40 +66,6 @@ class GibbsModel {
   }
 };
 
-/// Capability interface for lane-parallel chain execution
-/// (GibbsOptions::chain_lanes): a model that also implements this can scan
-/// up to lane_width() independent chains simultaneously, one per SIMD
-/// lane, batching the density evaluations across lanes.
-///
-/// The contract the driver (and the golden lane digests) pin:
-/// update_lanes must advance every packed chain bit-identically to packing
-/// that chain alone — lane l's new state and RNG consumption are pure
-/// functions of lane l's old state and RNG, for any pack size, lane
-/// position, backend, and worker count. Lane mode is a result-identity
-/// fork from the scalar update() path (same posterior, different bits), in
-/// the same spirit as GibbsOptions::vectorized.
-class LaneGibbsModel {
- public:
-  virtual ~LaneGibbsModel() = default;
-
-  /// Maximum chains packed per call (the SIMD lane count; 4 on every
-  /// backend of support/simd/lanes.hpp).
-  [[nodiscard]] virtual std::size_t lane_width() const = 0;
-
-  /// Shared scratch for a pack of up to `lane_count` chains (SoA buffers).
-  /// Like make_workspace(), the result carries no sampler state.
-  [[nodiscard]] virtual std::unique_ptr<GibbsWorkspace> make_lane_workspace(
-      std::size_t lane_count) const = 0;
-
-  /// One full Gibbs scan of `lane_count` packed chains: states[l] and
-  /// rngs[l] belong to lane l's chain and are updated in place.
-  /// `workspace` is the result of make_lane_workspace(lane_count).
-  virtual void update_lanes(std::size_t lane_count,
-                            std::vector<double>* const* states,
-                            random::Rng* const* rngs,
-                            GibbsWorkspace& workspace) const = 0;
-};
-
 struct GibbsOptions {
   std::size_t chain_count = 2;
   std::size_t burn_in = 1000;    ///< discarded scans per chain
@@ -110,18 +76,6 @@ struct GibbsOptions {
   bool keep_traces = true;       ///< store retained draws in the McmcRun;
                                  ///< off, only streaming sinks see them and
                                  ///< the run's chains come back empty
-  bool vectorized = false;       ///< route models that support it through
-                                 ///< the support/simd batch kernels. Forks
-                                 ///< result identity (ULP-level, documented
-                                 ///< in support/simd/math.hpp), so this is
-                                 ///< a result-determining option: artifact
-                                 ///< and serve hashes incorporate it
-  bool chain_lanes = false;      ///< pack independent chains into SIMD
-                                 ///< lanes (LaneGibbsModel required). Also
-                                 ///< a result-identity fork joined to the
-                                 ///< artifact/serve hashes; within the
-                                 ///< mode, every chain is bit-identical to
-                                 ///< running it alone (see LaneGibbsModel)
 };
 
 /// Runs the sampler. Every retained draw is appended to the returned

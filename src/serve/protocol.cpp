@@ -81,27 +81,14 @@ mcmc::GibbsOptions parse_gibbs(const Json* value) {
   // chains (predict/release); neither flag is part of the cache identity.
   gibbs.keep_traces = false;
   if (value == nullptr) return gibbs;
-  reject_unknown_members(
-      *value, "gibbs",
-      {"chains", "burn_in", "iterations", "thin", "seed", "vectorized",
-       "chain_lanes"});
+  reject_unknown_members(*value, "gibbs",
+                         {"chains", "burn_in", "iterations", "thin", "seed"});
   gibbs.chain_count = member_size(*value, "chains", gibbs.chain_count);
   gibbs.burn_in = member_size(*value, "burn_in", gibbs.burn_in);
   gibbs.iterations = member_size(*value, "iterations", gibbs.iterations);
   gibbs.thin = member_size(*value, "thin", gibbs.thin);
   if (const Json* seed = value->find("seed"); seed != nullptr) {
     gibbs.seed = static_cast<std::uint64_t>(seed->as_int());
-  }
-  // Result-determining (SIMD kernels fork the draws), so unlike the
-  // execution flags above it joins the cache identity in canonical_gibbs.
-  if (const Json* vectorized = value->find("vectorized");
-      vectorized != nullptr) {
-    gibbs.vectorized = vectorized->as_bool();
-  }
-  // Same treatment for the lane-parallel executor: its draws fork from the
-  // scalar path's, so packed requests must land in their own cache cells.
-  if (const Json* lanes = value->find("chain_lanes"); lanes != nullptr) {
-    gibbs.chain_lanes = lanes->as_bool();
   }
   SRM_EXPECTS(gibbs.chain_count >= 1, "gibbs.chains must be >= 1");
   SRM_EXPECTS(gibbs.iterations >= 1, "gibbs.iterations must be >= 1");
@@ -169,10 +156,6 @@ Json canonical_gibbs(const mcmc::GibbsOptions& gibbs) {
   json.set("iterations", Json::from_unsigned(gibbs.iterations));
   json.set("thin", Json::from_unsigned(gibbs.thin));
   json.set("seed", static_cast<std::int64_t>(gibbs.seed));
-  // Omit-if-false, mirroring the artifact layer: scalar requests keep
-  // their pre-flag identity bytes, vectorized ones get distinct cells.
-  if (gibbs.vectorized) json.set("vectorized", true);
-  if (gibbs.chain_lanes) json.set("chain_lanes", true);
   return json;
 }
 
@@ -270,12 +253,6 @@ Request parse_request(const Json& json) {
   request.fit.model = parse_model(json, request.fit.prior);
   request.fit.config = parse_config(json.find("config"));
   request.fit.gibbs = parse_gibbs(json.find("gibbs"));
-  if (request.op == Op::kFit || request.op == Op::kPredict ||
-      request.op == Op::kRelease) {
-    // Reject result-identity forks the family does not implement up front
-    // (select silently narrows its grid to the supporting families).
-    core::validate_family_gibbs(request.fit.prior, request.fit.gibbs);
-  }
   request.fit.observation_day =
       member_size(json, "day", request.project.days());
   SRM_EXPECTS(request.fit.observation_day >= 1, "day must be >= 1");

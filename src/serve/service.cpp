@@ -56,7 +56,7 @@ Json release_envelope(const Request& request, const std::string& hash) {
       request.project, request.fit.observation_day);
   const auto model =
       core::make_model(request.fit.prior, request.fit.model, observed,
-                       request.fit.config, gibbs);
+                       request.fit.config);
   const auto run = mcmc::run_gibbs(*model, gibbs);
   const auto plan = core::plan_release(*model, run, request.horizon,
                                        request.costs);
@@ -72,16 +72,10 @@ Json release_envelope(const Request& request, const std::string& hash) {
 }
 
 /// The grid a select request expands to, in deterministic registry order:
-/// every registered family's selection models. Families that lack a
-/// requested result-identity fork (vectorized / chain lanes) are skipped,
-/// mirroring the CLI's select command.
+/// every registered family's selection models.
 std::vector<core::FitRequest> select_grid(const Request& request) {
   std::vector<core::FitRequest> grid;
   for (const auto& entry : core::model_families().families()) {
-    if (request.fit.gibbs.vectorized && !entry.supports_vectorized) continue;
-    if (request.fit.gibbs.chain_lanes && !entry.supports_chain_lanes) {
-      continue;
-    }
     for (const auto model : entry.selection_models) {
       core::FitRequest fit = request.fit;
       fit.prior = entry.kind;

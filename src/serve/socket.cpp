@@ -26,11 +26,21 @@ bool socket_transport_available() {
 
 namespace {
 
+// A client may leave before its answer is written. Sending to it must fail
+// that one connection, not raise SIGPIPE and end the server; the process
+// signal disposition is left alone.
+#if defined(MSG_NOSIGNAL)
+constexpr int kSendFlags = MSG_NOSIGNAL;
+#else
+constexpr int kSendFlags = 0;
+#endif
+
 /// Writes all of `text`, retrying short writes. False on a broken peer.
 bool write_all(int fd, const std::string& text) {
   std::size_t written = 0;
   while (written < text.size()) {
-    const auto n = ::write(fd, text.data() + written, text.size() - written);
+    const auto n =
+        ::send(fd, text.data() + written, text.size() - written, kSendFlags);
     if (n <= 0) return false;
     written += static_cast<std::size_t>(n);
   }
@@ -109,6 +119,10 @@ int serve_over_socket(Service& service, const std::string& path,
   while (true) {
     const int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) break;
+#if !defined(MSG_NOSIGNAL) && defined(SO_NOSIGPIPE)
+    const int on = 1;
+    (void)::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &on, sizeof(on));
+#endif
     const bool keep_going = run_connection(service, fd, max_batch);
     ::close(fd);
     if (!keep_going) break;

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -185,8 +186,6 @@ TEST(ArtifactSerialize, GibbsOptionsRoundTripIncludingFullRangeSeed) {
   gibbs.thin = 5;
   gibbs.parallel_chains = false;
   gibbs.keep_traces = true;
-  gibbs.vectorized = true;
-  gibbs.chain_lanes = true;
   for (const auto seed :
        {std::uint64_t{0}, std::uint64_t{20240624},
         std::numeric_limits<std::uint64_t>::max()}) {
@@ -200,44 +199,28 @@ TEST(ArtifactSerialize, GibbsOptionsRoundTripIncludingFullRangeSeed) {
     EXPECT_EQ(back.seed, seed);
     EXPECT_EQ(back.parallel_chains, gibbs.parallel_chains);
     EXPECT_EQ(back.keep_traces, gibbs.keep_traces);
-    EXPECT_EQ(back.vectorized, gibbs.vectorized);
-    EXPECT_EQ(back.chain_lanes, gibbs.chain_lanes);
   }
 }
 
-TEST(ArtifactSerialize, GibbsVectorizedIsOmitIfFalse) {
-  // Scalar options serialize byte-identically to the pre-flag format, so
-  // existing artifacts parse unchanged (the key simply isn't there) and
-  // their hashes never move.
-  mcmc::GibbsOptions scalar;
-  const Json scalar_json = artifact::to_json(scalar);
-  EXPECT_EQ(scalar_json.find("vectorized"), nullptr);
-  const auto legacy = artifact::gibbs_options_from_json(
-      Json::parse(scalar_json.dump()));
-  EXPECT_FALSE(legacy.vectorized);
-
-  mcmc::GibbsOptions vectorized;
-  vectorized.vectorized = true;
-  const Json vec_json = artifact::to_json(vectorized);
-  ASSERT_NE(vec_json.find("vectorized"), nullptr);
-  EXPECT_TRUE(vec_json.find("vectorized")->as_bool());
-}
-
-TEST(ArtifactSerialize, GibbsChainLanesIsOmitIfFalse) {
-  // The lane executor shares the vectorized flag's compatibility contract:
-  // absent by default, so pre-lane artifacts parse (and hash) unchanged.
-  mcmc::GibbsOptions scalar;
-  const Json scalar_json = artifact::to_json(scalar);
-  EXPECT_EQ(scalar_json.find("chain_lanes"), nullptr);
-  const auto legacy =
-      artifact::gibbs_options_from_json(Json::parse(scalar_json.dump()));
-  EXPECT_FALSE(legacy.chain_lanes);
-
-  mcmc::GibbsOptions lanes;
-  lanes.chain_lanes = true;
-  const Json lanes_json = artifact::to_json(lanes);
-  ASSERT_NE(lanes_json.find("chain_lanes"), nullptr);
-  EXPECT_TRUE(lanes_json.find("chain_lanes")->as_bool());
+TEST(ArtifactSerialize, GibbsMembersOfRemovedForksFailLoudly) {
+  // Specs written by the removed SIMD sampler forks carry one of these
+  // members; whatever its value, loading one as a default-path spec would
+  // misdescribe the stored draws, so the loader names the member and
+  // throws.
+  for (const char* member : {"vectorized", "chain_lanes"}) {
+    for (const bool value : {true, false}) {
+      Json json = artifact::to_json(mcmc::GibbsOptions{});
+      EXPECT_EQ(json.find(member), nullptr) << member;
+      json.set(member, value);
+      try {
+        (void)artifact::gibbs_options_from_json(Json::parse(json.dump()));
+        ADD_FAILURE() << member << "=" << value << " loaded";
+      } catch (const srm::InvalidArgument& error) {
+        EXPECT_NE(std::string(error.what()).find(member), std::string::npos)
+            << error.what();
+      }
+    }
+  }
 }
 
 TEST(ArtifactSerialize, SweepOptionsRoundTripWithOverrides) {

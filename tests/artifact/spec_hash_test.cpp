@@ -101,24 +101,6 @@ TEST(SpecHash, ResultDeterminingFieldsAreCovered) {
   EXPECT_NE(artifact::cell_hash(toy(), changed, 5), reference);
 
   changed = spec;
-  changed.gibbs.vectorized = true;
-  EXPECT_NE(artifact::cell_hash(toy(), changed, 5), reference);
-
-  changed = spec;
-  changed.gibbs.chain_lanes = true;
-  EXPECT_NE(artifact::cell_hash(toy(), changed, 5), reference);
-
-  // The two identity forks are independent axes: each combination of the
-  // flags is its own cell.
-  changed = spec;
-  changed.gibbs.vectorized = true;
-  changed.gibbs.chain_lanes = true;
-  auto lanes_only = spec;
-  lanes_only.gibbs.chain_lanes = true;
-  EXPECT_NE(artifact::cell_hash(toy(), changed, 5),
-            artifact::cell_hash(toy(), lanes_only, 5));
-
-  changed = spec;
   changed.eventual_total += 1;
   EXPECT_NE(artifact::cell_hash(toy(), changed, 5), reference);
 
@@ -126,24 +108,6 @@ TEST(SpecHash, ResultDeterminingFieldsAreCovered) {
 
   const data::BugCountData other("toy", {1, 0, 2, 1, 3, 0, 1, 2, 0, 2});
   EXPECT_NE(artifact::cell_hash(other, spec, 5), reference);
-}
-
-TEST(SpecHash, VectorizedFalseKeepsTheLegacyIdentity) {
-  // Omit-if-false: a scalar spec hashes byte-identically to the pre-flag
-  // canonical form (the pinned golden above proves the absolute value),
-  // so every artifact directory written before the SIMD layer stays
-  // reachable. Only vectorized=true forks the cell.
-  auto spec = base_spec();
-  spec.gibbs.vectorized = false;
-  EXPECT_EQ(artifact::cell_hash(toy(), spec, 5), "04012f2585e2ffd9");
-}
-
-TEST(SpecHash, ChainLanesFalseKeepsTheLegacyIdentity) {
-  // Same omit-if-false contract for the lane-parallel executor: the
-  // default keeps every pre-lane artifact reachable at its pinned hash.
-  auto spec = base_spec();
-  spec.gibbs.chain_lanes = false;
-  EXPECT_EQ(artifact::cell_hash(toy(), spec, 5), "04012f2585e2ffd9");
 }
 
 TEST(SpecHash, DatasetNameDoesNotAffectIdentity) {

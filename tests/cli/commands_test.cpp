@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -208,9 +210,27 @@ TEST(Cli, UnknownCommandFails) {
 }
 
 TEST(Cli, UnknownFlagFails) {
-  const auto result = run("mle", {"--csv", "ntds", "--bogus", "1"});
-  EXPECT_EQ(result.code, 2);
-  EXPECT_NE(result.err.find("bogus"), std::string::npos);
+  struct Case {
+    std::string command;
+    std::vector<std::string> flags;
+    std::string unknown;
+  };
+  const std::vector<Case> cases = {
+      {"mle", {"--csv", "ntds", "--bogus", "1"}, "bogus"},
+      {"fit",
+       {"--csv", "sys1", "--days", "20", "--burn-in", "5", "--iterations",
+        "20", "--vectorized"},
+       "vectorized"},
+      {"fit",
+       {"--csv", "sys1", "--days", "20", "--burn-in", "5", "--iterations",
+        "20", "--chain-lanes"},
+       "chain-lanes"},
+  };
+  for (const auto& c : cases) {
+    const auto result = run(c.command, c.flags);
+    EXPECT_EQ(result.code, 2) << c.unknown;
+    EXPECT_NE(result.err.find(c.unknown), std::string::npos) << result.err;
+  }
 }
 
 TEST(Cli, MissingCsvFails) {

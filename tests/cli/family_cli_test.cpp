@@ -52,13 +52,6 @@ TEST(CliFamilies, ModelOutsideTheFamilyGridIsRejected) {
   EXPECT_NE(unknown.err.find("bogus"), std::string::npos) << unknown.err;
 }
 
-TEST(CliFamilies, ScalarOnlyFamilyRejectsForkFlags) {
-  const auto result = run("fit", {"--csv", "sys1", "--prior", "sizebiased",
-                                  "--vectorized"});
-  EXPECT_EQ(result.code, 2);
-  EXPECT_NE(result.err.find("vectorized"), std::string::npos) << result.err;
-}
-
 TEST(CliFamilies, FamiliesSubcommandListsTheRegistry) {
   const auto result = run("families", {});
   EXPECT_EQ(result.code, 0) << result.err;

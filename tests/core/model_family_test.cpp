@@ -35,11 +35,10 @@ ModelFamily stub_family(PriorKind kind, std::string id) {
   family.accepted_models = {DetectionModelKind::kConstant};
   family.default_model = DetectionModelKind::kConstant;
   family.make = [](DetectionModelKind model, srm::data::BugCountData data,
-                   const core::HyperPriorConfig& config,
-                   bool vectorized) -> std::unique_ptr<core::SrmModel> {
+                   const core::HyperPriorConfig& config)
+      -> std::unique_ptr<core::SrmModel> {
     return std::make_unique<core::BayesianSrm>(PriorKind::kPoisson, model,
-                                               std::move(data), config,
-                                               vectorized);
+                                               std::move(data), config);
   };
   return family;
 }
@@ -154,25 +153,6 @@ TEST(ModelFamilyRegistry, ValidateFamilyModelRejectsForeignDetectionKinds) {
       core::validate_family_model(PriorKind::kPoisson,
                                   DetectionModelKind::kSizeBiasedMultinomial),
       srm::InvalidArgument);
-}
-
-TEST(ModelFamilyRegistry, ValidateFamilyGibbsRejectsUnsupportedForks) {
-  srm::mcmc::GibbsOptions gibbs;
-  EXPECT_NO_THROW(core::validate_family_gibbs(PriorKind::kSizeBiased, gibbs));
-
-  auto vectorized = gibbs;
-  vectorized.vectorized = true;
-  EXPECT_NO_THROW(
-      core::validate_family_gibbs(PriorKind::kPoisson, vectorized));
-  EXPECT_THROW(
-      core::validate_family_gibbs(PriorKind::kSizeBiased, vectorized),
-      srm::InvalidArgument);
-
-  auto lanes = gibbs;
-  lanes.chain_lanes = true;
-  EXPECT_NO_THROW(core::validate_family_gibbs(PriorKind::kPoisson, lanes));
-  EXPECT_THROW(core::validate_family_gibbs(PriorKind::kSizeBiased, lanes),
-               srm::InvalidArgument);
 }
 
 TEST(ModelFamilyRegistry, MakeModelConstructsEveryRegisteredCell) {

@@ -151,13 +151,11 @@ TEST(SizeBiased, CollapsedAndVanillaAgreeStatistically) {
 
 TEST(SizeBiased, RegisteredThroughTheFamilySeamOnly) {
   // The registry is the family's only construction path: the record's
-  // capability flags (scalar-only) and grid are what every outer layer
-  // sees. This pins the record so a flag flip is a deliberate act.
+  // flags and grid are what every outer layer sees. This pins the record
+  // so a flag flip is a deliberate act.
   const auto& family = core::family(PriorKind::kSizeBiased);
   EXPECT_EQ(family.id, "sizebiased");
   EXPECT_FALSE(family.reproduction);
-  EXPECT_FALSE(family.supports_vectorized);
-  EXPECT_FALSE(family.supports_chain_lanes);
   ASSERT_EQ(family.selection_models.size(), 1u);
   EXPECT_EQ(family.selection_models.front(),
             DetectionModelKind::kSizeBiasedMultinomial);

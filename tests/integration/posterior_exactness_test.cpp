@@ -285,43 +285,39 @@ TEST(PosteriorExactness, NegBinGibbsMatchesClosedFormIntegration) {
   const core::BayesianSrm model(core::PriorKind::kNegativeBinomial,
                                 core::DetectionModelKind::kConstant, data,
                                 config);
-  for (const bool chain_lanes : {false, true}) {
-    const std::string mode = chain_lanes ? "chain_lanes" : "scalar";
-    srm::mcmc::GibbsOptions gibbs;
-    gibbs.chain_count = 2;
-    gibbs.burn_in = 1000;
-    gibbs.iterations = 40000;
-    gibbs.seed = 1234;
-    gibbs.chain_lanes = chain_lanes;
-    const auto run = srm::mcmc::run_gibbs(model, gibbs);
-    const auto samples = run.pooled("residual");
-    std::vector<double> empirical(kMaxR + 1, 0.0);
-    double inside = 0.0;
-    for (const double s : samples) {
-      const auto r = static_cast<std::int64_t>(std::llround(s));
-      if (r <= kMaxR) {
-        ++empirical[static_cast<std::size_t>(r)];
-        ++inside;
-      }
+  srm::mcmc::GibbsOptions gibbs;
+  gibbs.chain_count = 2;
+  gibbs.burn_in = 1000;
+  gibbs.iterations = 40000;
+  gibbs.seed = 1234;
+  const auto run = srm::mcmc::run_gibbs(model, gibbs);
+  const auto samples = run.pooled("residual");
+  std::vector<double> empirical(kMaxR + 1, 0.0);
+  double inside = 0.0;
+  for (const double s : samples) {
+    const auto r = static_cast<std::int64_t>(std::llround(s));
+    if (r <= kMaxR) {
+      ++empirical[static_cast<std::size_t>(r)];
+      ++inside;
     }
-    ASSERT_GT(inside, 0.97 * static_cast<double>(samples.size())) << mode;
-    for (double& v : empirical) v /= inside;
-
-    double exact_cdf = 0.0;
-    double empirical_cdf = 0.0;
-    double max_cdf_gap = 0.0;
-    for (std::int64_t r = 0; r <= kMaxR; ++r) {
-      const double p = exact[static_cast<std::size_t>(r)];
-      const double e = empirical[static_cast<std::size_t>(r)];
-      if (p >= 1e-4) {
-        EXPECT_NEAR(e, p, 0.15 * p + 0.0015) << mode << " r=" << r;
-      }
-      exact_cdf += p;
-      empirical_cdf += e;
-      max_cdf_gap = std::max(max_cdf_gap, std::abs(exact_cdf - empirical_cdf));
-    }
-    EXPECT_LT(max_cdf_gap, 0.01) << mode;
   }
+  ASSERT_GT(inside, 0.97 * static_cast<double>(samples.size()));
+  for (double& v : empirical) v /= inside;
+
+  double exact_cdf = 0.0;
+  double empirical_cdf = 0.0;
+  double max_cdf_gap = 0.0;
+  for (std::int64_t r = 0; r <= kMaxR; ++r) {
+    const double p = exact[static_cast<std::size_t>(r)];
+    const double e = empirical[static_cast<std::size_t>(r)];
+    if (p >= 1e-4) {
+      EXPECT_NEAR(e, p, 0.15 * p + 0.0015) << "r=" << r;
+    }
+    exact_cdf += p;
+    empirical_cdf += e;
+    max_cdf_gap = std::max(max_cdf_gap, std::abs(exact_cdf - empirical_cdf));
+  }
+  EXPECT_LT(max_cdf_gap, 0.01);
 }
 
 }  // namespace

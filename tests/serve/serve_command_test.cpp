@@ -1,7 +1,7 @@
 // Transport-level tests for `srm serve`: the stdin/stdout line loop via
 // run_serve over string streams (flag handling, --no-meta replay
-// determinism, shutdown, stale and corrupt disk cells), and one full round
-// trip over the unix-socket transport.
+// determinism, shutdown, stale and corrupt disk cells), and round trips
+// over the unix-socket transport.
 #include "serve/serve_command.hpp"
 
 #include <filesystem>
@@ -206,41 +206,30 @@ TEST(ServeCommand, SummaryLinesGoToTheErrorStream) {
 }
 
 #if defined(__unix__) || defined(__APPLE__)
-TEST(ServeCommand, SocketTransportRoundTrips) {
-  ASSERT_TRUE(serve::socket_transport_available());
-  const std::string path = "/tmp/srm_serve_test.sock";
-
-  serve::ServiceOptions options;
-  options.cache_capacity = 4;
-  options.meta = false;
-  serve::Service service(options);
-  // tests/ are outside the library tree, so a raw thread is fine here.
-  std::thread server(
-      [&] { serve::serve_over_socket(service, path, /*max_batch=*/16); });
-
-  // Wait for the socket to appear, then run one client session.
-  int fd = -1;
+/// Connects to the socket server at `path`, waiting for it to bind.
+/// Returns the connected fd, or -1 when the server never appeared.
+int connect_client(const std::string& path) {
   sockaddr_un address{};
   address.sun_family = AF_UNIX;
   path.copy(address.sun_path, path.size());
-  for (int attempt = 0; attempt < 200 && fd < 0; ++attempt) {
+  for (int attempt = 0; attempt < 200; ++attempt) {
     const int candidate = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(candidate, 0);
+    if (candidate < 0) return -1;
     if (::connect(candidate, reinterpret_cast<const sockaddr*>(&address),
                   sizeof(address)) == 0) {
-      fd = candidate;
-      break;
+      return candidate;
     }
     ::close(candidate);
     ::usleep(10'000);
   }
-  ASSERT_GE(fd, 0) << "could not connect to " << path;
+  return -1;
+}
 
-  const std::string payload =
-      fit_line(7) + "\n" + fit_line(7) + "\n" + R"({"op":"shutdown"})" + "\n";
-  ASSERT_EQ(::write(fd, payload.data(), payload.size()),
+/// Writes `payload`, reads until the server closes, and returns the lines.
+std::vector<std::string> send_and_collect(int fd,
+                                          const std::string& payload) {
+  EXPECT_EQ(::write(fd, payload.data(), payload.size()),
             static_cast<ssize_t>(payload.size()));
-
   std::string received;
   char chunk[4096];
   for (ssize_t n = ::read(fd, chunk, sizeof(chunk)); n > 0;
@@ -248,16 +237,72 @@ TEST(ServeCommand, SocketTransportRoundTrips) {
     received.append(chunk, static_cast<std::size_t>(n));
   }
   ::close(fd);
-  server.join();
-
   std::vector<std::string> lines;
   std::istringstream reader(received);
   for (std::string line; std::getline(reader, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 3u) << received;
+  return lines;
+}
+
+serve::ServiceOptions socket_service_options() {
+  serve::ServiceOptions options;
+  options.cache_capacity = 4;
+  options.meta = false;
+  return options;
+}
+
+TEST(ServeCommand, SocketTransportRoundTrips) {
+  ASSERT_TRUE(serve::socket_transport_available());
+  const std::string path = "/tmp/srm_serve_test.sock";
+
+  serve::Service service(socket_service_options());
+  // tests/ are outside the library tree, so a raw thread is fine here.
+  std::thread server(
+      [&] { serve::serve_over_socket(service, path, /*max_batch=*/16); });
+
+  const int fd = connect_client(path);
+  ASSERT_GE(fd, 0) << "could not connect to " << path;
+  const auto lines = send_and_collect(
+      fd, fit_line(7) + "\n" + fit_line(7) + "\n" + R"({"op":"shutdown"})" +
+              "\n");
+  server.join();
+
+  ASSERT_EQ(lines.size(), 3u);
   EXPECT_EQ(lines[0], lines[1]);  // same request, same bytes, across tiers
   EXPECT_TRUE(Json::parse(lines[2]).at("result").at("shutting_down")
                   .as_bool());
   EXPECT_TRUE(service.shutdown_requested());
+}
+
+TEST(ServeCommand, SocketServerSurvivesAClientThatLeavesEarly) {
+  const std::string path = "/tmp/srm_serve_early_leave_test.sock";
+  serve::Service service(socket_service_options());
+  std::thread server(
+      [&] { serve::serve_over_socket(service, path, /*max_batch=*/16); });
+
+  // Connections are served one at a time, so while an idle client holds
+  // the server, a second one sends a fit and leaves. Its answer can only
+  // be written after it has gone.
+  const int idle = connect_client(path);
+  ASSERT_GE(idle, 0) << "could not connect to " << path;
+  const int leaver = connect_client(path);
+  ASSERT_GE(leaver, 0) << "could not connect to " << path;
+  const std::string fit = fit_line(7) + "\n";
+  ASSERT_EQ(::write(leaver, fit.data(), fit.size()),
+            static_cast<ssize_t>(fit.size()));
+  ::close(leaver);
+  ::close(idle);
+
+  // The next client is still served, and can shut the server down.
+  const int fd = connect_client(path);
+  ASSERT_GE(fd, 0) << "could not connect to " << path;
+  const auto lines =
+      send_and_collect(fd, fit_line(7) + "\n" + R"({"op":"shutdown"})" + "\n");
+  server.join();
+
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_TRUE(Json::parse(lines[0]).at("ok").as_bool()) << lines[0];
+  EXPECT_TRUE(Json::parse(lines[1]).at("result").at("shutting_down")
+                  .as_bool());
 }
 #endif
 

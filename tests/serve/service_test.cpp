@@ -121,6 +121,10 @@ TEST(ServeService, HostileInputYieldsStructuredErrorsNeverThrows) {
       R"({"op":"fit","project":"sys99"})",
       R"({"op":"fit","project":{"name":"x","counts":[]}})",
       R"({"op":"fit","project":{"name":"x","counts":[1]},"bogus":true})",
+      R"({"op":"fit","project":{"name":"x","counts":[1]},)"
+      R"("gibbs":{"vectorized":true}})",
+      R"({"op":"fit","project":{"name":"x","counts":[1]},)"
+      R"("gibbs":{"chain_lanes":true}})",
   };
   for (const auto& line : hostile) {
     const auto response = service.handle_line(line);

@@ -120,9 +120,7 @@ void check_raw_intrinsics(const FileText& f, std::vector<Finding>& out) {
   }
   // Masked-select / movemask intrinsic spellings. These are callable without
   // their ISA header in some toolchain modes (clang builtin fallbacks), so
-  // the header scan alone does not pin them; each has an exact, bit-stable
-  // wrapper in support/simd/mask.hpp (movemask, vandnot) or lanes.hpp
-  // (vselect) that the mask-and-retire machinery must route through.
+  // the header scan alone does not pin them.
   static constexpr std::string_view kBannedMaskIntrinsics[] = {
       "_mm_blendv_pd",    "_mm256_blendv_pd",   "_mm512_mask_blend_pd",
       "_mm_movemask_pd",  "_mm256_movemask_pd", "_mm_andnot_pd",
@@ -533,7 +531,7 @@ std::size_t definition_body(const std::string& s, std::size_t paren) {
 /// implementation files: every matching definition must contain
 /// SRM_EXPECTS. A header's implementations may be split across the exact
 /// sibling (`bayes_srm.cpp` for `bayes_srm.hpp`) and same-directory
-/// satellite TUs named `<stem>_*.cpp` (`bayes_srm_lanes.cpp`).
+/// satellite TUs named `<stem>_*.cpp` (`bayes_srm_<part>.cpp`).
 void check_impls(const FileText& header,
                  const std::vector<const FileText*>& impls,
                  const std::vector<PublicDecl>& decls,
@@ -633,8 +631,7 @@ void run_contract_rules(const FileSet& files, std::vector<Finding>& out) {
         // never a second disk read. A header's definitions may be split
         // across the exact sibling and `<stem>_*.cpp` satellite TUs in the
         // same directory (e.g. bayes_srm.hpp -> bayes_srm.cpp +
-        // bayes_srm_lanes.cpp, where the lane path keeps its own TU so the
-        // wide-ISA kernels stay isolated).
+        // bayes_srm_<part>.cpp, when one class's code is split by topic).
         const std::string stem = f.rel.substr(0, f.rel.size() - 4);
         std::vector<const FileText*> impls;
         if (const FileText* exact = files.find(stem + ".cpp")) {
