@@ -40,14 +40,25 @@ double interior_uniform(random::Rng& rng, double lo, double hi) {
 BayesianSrm::BayesianSrm(PriorKind prior, DetectionModelKind model_kind,
                          data::BugCountData data, HyperPriorConfig config)
     : prior_(prior),
+      poisson_content_(prior == PriorKind::kPoisson ||
+                       prior == PriorKind::kSizeBiased),
       model_(make_detection_model(model_kind)),
       data_(std::move(data)),
       config_(config),
       zeta_supports_(model_->parameter_supports(config.limits)) {
+  validate_family_model(prior, model_kind);
   SRM_EXPECTS(config.lambda_max > 0.0, "lambda_max must be positive");
-  SRM_EXPECTS(config.alpha_max > 0.0, "alpha_max must be positive");
-  SRM_EXPECTS(config.limits.theta_max > 0.0, "theta_max must be positive");
-  SRM_EXPECTS(config.limits.gamma_bound > 0.0, "gamma_bound must be positive");
+  if (prior == PriorKind::kSizeBiased) {
+    SRM_EXPECTS(config.limits.sb_shape_max > 0.0,
+                "sb_shape_max must be positive");
+    SRM_EXPECTS(config.limits.sb_scale_max > 0.0,
+                "sb_scale_max must be positive");
+  } else {
+    SRM_EXPECTS(config.alpha_max > 0.0, "alpha_max must be positive");
+    SRM_EXPECTS(config.limits.theta_max > 0.0, "theta_max must be positive");
+    SRM_EXPECTS(config.limits.gamma_bound > 0.0,
+                "gamma_bound must be positive");
+  }
 }
 
 BayesianSrm::Workspace::Workspace(const BayesianSrm& model)
@@ -63,7 +74,7 @@ std::unique_ptr<mcmc::GibbsWorkspace> BayesianSrm::make_workspace() const {
 
 std::vector<std::string> BayesianSrm::parameter_names() const {
   std::vector<std::string> names{"residual"};
-  if (prior_ == PriorKind::kPoisson) {
+  if (poisson_content_) {
     names.emplace_back("lambda0");
   } else {
     names.emplace_back("alpha0");
@@ -75,7 +86,7 @@ std::vector<std::string> BayesianSrm::parameter_names() const {
 
 std::vector<double> BayesianSrm::initial_state(random::Rng& rng) const {
   std::vector<double> state(state_size(), 0.0);
-  if (prior_ == PriorKind::kPoisson) {
+  if (poisson_content_) {
     state[1] = interior_uniform(rng, 0.0, config_.lambda_max);
   } else {
     state[1] = interior_uniform(rng, 0.0, config_.alpha_max);
@@ -128,7 +139,7 @@ void BayesianSrm::update_with(std::vector<double>& state, random::Rng& rng,
 
 void BayesianSrm::update_residual(std::vector<double>& state,
                                   random::Rng& rng, double survival) const {
-  if (prior_ == PriorKind::kPoisson) {
+  if (poisson_content_) {
     const auto posterior = poisson_residual_posterior(
         std::max(state[1], 1e-12), data_, survival);
     state[residual_index()] = static_cast<double>(posterior.sample(rng));
@@ -160,10 +171,10 @@ double BayesianSrm::stable_survival(std::span<const double> zeta,
 void BayesianSrm::update_hyperparameters(std::vector<double>& state,
                                          random::Rng& rng) const {
   const std::int64_t n = initial_bugs_of(state);
-  if (prior_ == PriorKind::kPoisson) {
+  if (poisson_content_) {
     // p(lambda0 | N) ∝ pi(lambda0) lambda0^N e^{-lambda0} on (0, lambda_max):
-    // TruncatedGamma(N + 1, 1) under the uniform hyperprior, shape N + 1/2
-    // under the Jeffreys variant pi ∝ lambda^{-1/2}.
+    // Gamma(N + 1, 1) truncated to that interval under the uniform
+    // hyperprior, shape N + 1/2 under the Jeffreys variant pi ∝ lambda^{-1/2}.
     const double shape =
         static_cast<double>(n) + (config_.jeffreys_lambda0 ? 0.5 : 1.0);
     state[1] = random::sample_truncated_gamma(rng, shape, 1.0,
@@ -240,7 +251,7 @@ double BayesianSrm::collapsed_log_density(double base, double log_survival,
   const double s_k = static_cast<double>(data_.total());
   const double survival =
       std::isfinite(log_survival) ? std::exp(log_survival) : 0.0;
-  if (prior_ == PriorKind::kPoisson) {
+  if (poisson_content_) {
     // lambda0 is integrated out as well (its conditional is a truncated
     // gamma, so the normalizer is available in closed form):
     //   p(zeta | x) ∝ base(zeta) * Gamma(shape) (1-Q)^{-shape}
@@ -263,11 +274,11 @@ void BayesianSrm::update_hyperparameters_collapsed(std::vector<double>& state,
                                                    random::Rng& rng,
                                                    double survival) const {
   const double s_k = static_cast<double>(data_.total());
-  if (prior_ == PriorKind::kPoisson) {
+  if (poisson_content_) {
     // p(lambda0 | zeta, x) ∝ pi(lambda0) lambda0^{s_k} e^{-lambda0 (1-Q)}:
-    // TruncatedGamma(s_k + 1, 1 - Q) under the uniform hyperprior (shape
-    // s_k + 1/2 for Jeffreys). Rate is clamped away from 0 for the
-    // degenerate no-detection case Q = 1.
+    // Gamma(s_k + 1, 1 - Q) truncated to (0, lambda_max) under the uniform
+    // hyperprior (shape s_k + 1/2 for Jeffreys). Rate is clamped away from 0
+    // for the degenerate no-detection case Q = 1.
     const double shape = s_k + (config_.jeffreys_lambda0 ? 0.5 : 1.0);
     const double rate = std::max(1.0 - survival, 1e-12);
     state[1] =
@@ -360,9 +371,8 @@ double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
   // (DESIGN.md): beta0 is mapped out at the starting Q and back at the
   // accepted one.
   const double thinned =
-      prior_ == PriorKind::kNegativeBinomial
-          ? thinned_beta(state[2], std::exp(current.log_survival))
-          : 0.0;
+      poisson_content_ ? 0.0
+                       : thinned_beta(state[2], std::exp(current.log_survival));
   double current_density = collapsed_density(current, thinned);
 
   for (std::size_t j = 0; j < zeta.size(); ++j) {
@@ -398,7 +408,9 @@ double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
 
   // Mode-jump move: component-wise slice sampling cannot cross between
   // well-separated posterior modes (model2's (mu, gamma) surface is
-  // genuinely multimodal on some datasets), so finish the scan with an
+  // genuinely multimodal on some datasets) and crawls along ridges (the
+  // size-biased channel fits the early days almost equally well anywhere
+  // on shape * log(1 + 1/scale) = const), so finish the scan with an
   // independence-Metropolis proposal drawn uniformly from the prior box.
   // The move targets the same collapsed marginal, so correctness is
   // unaffected; acceptance is rare but sufficient to mix across modes.
@@ -429,7 +441,7 @@ double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
       });
 
   const double survival = std::exp(current.log_survival);
-  if (prior_ == PriorKind::kNegativeBinomial) {
+  if (!poisson_content_) {
     state[2] = unthinned_beta(thinned, survival);
   }
   return survival;
@@ -450,32 +462,8 @@ std::vector<double> BayesianSrm::pointwise_log_likelihood(
     std::span<const double> state) const {
   Workspace scratch(*this);
   std::vector<double> terms(data_.days());
-  pointwise_log_likelihood_into(state, scratch, terms);
+  pointwise_row(state, scratch, terms);
   return terms;
-}
-
-void BayesianSrm::pointwise_log_likelihood_into(std::span<const double> state,
-                                                Workspace& ws,
-                                                std::span<double> out) const {
-  SRM_EXPECTS(state.size() == state_size(), "state vector has wrong size");
-  SRM_EXPECTS(out.size() >= data_.days(),
-              "pointwise output needs one slot per testing day");
-  model_->probabilities_into(data_.days(), state.subspan(zeta_offset()),
-                             ws.probabilities);
-  fill_pointwise(initial_bugs_of(state), ws, out);
-}
-
-void BayesianSrm::pointwise_into(std::span<const double> state, Workspace& ws,
-                                 std::span<double> out) const {
-  SRM_EXPECTS(state.size() == state_size(), "state vector has wrong size");
-  SRM_EXPECTS(out.size() >= data_.days(),
-              "pointwise output needs one slot per testing day");
-  // One batch probability fill into the workspace buffer. Streaming scoring
-  // and stored-trace replay both score through this exact call, so the two
-  // pipeline modes agree bit for bit.
-  model_->probabilities_into(data_.days(), state.subspan(zeta_offset()),
-                             ws.probabilities);
-  fill_pointwise(initial_bugs_of(state), ws, out);
 }
 
 bool BayesianSrm::is_scan_workspace(
@@ -489,14 +477,17 @@ void BayesianSrm::pointwise_row(std::span<const double> state,
   auto* ws = dynamic_cast<Workspace*>(&workspace);
   SRM_EXPECTS(ws != nullptr,
               "pointwise_row requires a workspace from make_workspace()");
-  pointwise_into(state, *ws, out);
-}
-
-void BayesianSrm::fill_pointwise(std::int64_t initial_bugs, Workspace& ws,
-                                 std::span<double> out) const {
+  SRM_EXPECTS(state.size() == state_size(), "state vector has wrong size");
+  SRM_EXPECTS(out.size() >= data_.days(),
+              "pointwise output needs one slot per testing day");
+  // One batch probability fill into the workspace buffer. Streaming scoring
+  // and stored-trace replay both score through this exact call, so the two
+  // pipeline modes agree bit for bit.
+  model_->probabilities_into(data_.days(), state.subspan(zeta_offset()),
+                             ws->probabilities);
+  const std::int64_t n = initial_bugs_of(state);
   for (std::size_t day = 1; day <= data_.days(); ++day) {
-    out[day - 1] =
-        log_pointwise_likelihood(data_, day, initial_bugs, ws.probabilities);
+    out[day - 1] = log_pointwise_likelihood(data_, day, n, ws->probabilities);
   }
 }
 
@@ -512,7 +503,7 @@ double BayesianSrm::log_joint(std::span<const double> state) const {
   }
 
   double log_prior;
-  if (prior_ == PriorKind::kPoisson) {
+  if (poisson_content_) {
     const double lambda0 = state[1];
     if (lambda0 <= 0.0 || lambda0 >= config_.lambda_max) return kNegInf;
     log_prior = static_cast<double>(n) * std::log(lambda0) - lambda0 -

@@ -4,12 +4,19 @@
 // hyperparameters under non-informative uniform hyperpriors, sampled by a
 // Gibbs scheme (Eqs 14-22) built on srm::mcmc.
 //
+// Every registered family runs this class. The size-biased family
+// (Dey-Chakraborty, arXiv:2202.08107 / 2406.04360) is the Poisson
+// bug-content layer with its multinomial detection channel
+// (core/detection_models.hpp): the day counts given N factorize into the
+// sequential-binomial likelihood of Eq (2), so the Poisson conditionals
+// below apply verbatim.
+//
 // Gibbs conditionals (derived in DESIGN.md):
-//   Poisson prior:
+//   Poisson bug content (families poisson, sizebiased):
 //     R = N - s_k | lambda0, zeta, x  ~ Poisson(lambda0 * prod q_i)  [exact]
-//     lambda0 | N ~ TruncatedGamma(N + 1, 1, lambda_max)             [exact]
+//     lambda0 | N ~ Gamma(N + 1, 1) truncated to (0, lambda_max)     [exact]
 //     zeta_j | N, x  — slice sampling of the zeta-kernel of Eq (2)
-//   Negative binomial prior:
+//   Negative binomial bug content (family negbin):
 //     R | alpha0, beta0, zeta, x ~ NB(alpha0 + s_k, beta_k)          [exact]
 //     beta0 | N, alpha0 ~ Beta(alpha0 + 1, N + 1)                    [exact]
 //     alpha0 | N, beta0 — slice sampling on (0, alpha_max)
@@ -18,8 +25,9 @@
 //   NB zeta block holds beta' = beta0 / (1 - (1-beta0) Q) fixed (DESIGN.md).
 //
 // State vector layout (also the parameter-name order):
-//   Poisson prior:  [residual, lambda0, zeta...]
-//   NB prior:       [residual, alpha0, beta0, zeta...]
+//   Poisson bug content:  [residual, lambda0, zeta...]
+//                         (sizebiased: zeta = (shape, scale))
+//   NB bug content:       [residual, alpha0, beta0, zeta...]
 #pragma once
 
 #include <memory>
@@ -37,6 +45,9 @@ namespace srm::core {
 
 class BayesianSrm final : public SrmModel {
  public:
+  /// Throws support::InvalidArgument unless the family `prior` accepts
+  /// `model_kind` (validate_family_model) and the family's hyperprior
+  /// limits are positive.
   BayesianSrm(PriorKind prior, DetectionModelKind model_kind,
               data::BugCountData data, HyperPriorConfig config = {});
 
@@ -74,7 +85,7 @@ class BayesianSrm final : public SrmModel {
   [[nodiscard]] PriorKind family() const override { return prior_; }
   /// Index of the first detection-model parameter.
   [[nodiscard]] std::size_t zeta_offset() const override {
-    return prior_ == PriorKind::kPoisson ? 2 : 3;
+    return poisson_content_ ? 2 : 3;
   }
   [[nodiscard]] std::size_t state_size() const override {
     return zeta_offset() + model_->parameter_count();
@@ -103,28 +114,10 @@ class BayesianSrm final : public SrmModel {
       std::span<const double> zeta) const;
 
   /// log P(X_i = x_i | omega) for every observed day, with omega read from a
-  /// sampled state vector — the WAIC ingredient (Eqs 24-25).
+  /// sampled state vector — the WAIC ingredient (Eqs 24-25). Allocating
+  /// convenience over pointwise_row.
   [[nodiscard]] std::vector<double> pointwise_log_likelihood(
       std::span<const double> state) const;
-
-  /// Allocation-free variant: fills out[i-1] for day i = 1..days() reusing
-  /// the workspace's probability buffer. The WAIC matrix evaluates this per
-  /// (draw, day); one workspace per worker keeps the pass allocation-free.
-  void pointwise_log_likelihood_into(std::span<const double> state,
-                                     Workspace& workspace,
-                                     std::span<double> out) const;
-
-  /// In-scan variant for streaming sinks: when `workspace` is the one the
-  /// model's update() just ran with and its detection buffers are still
-  /// fresh for `state` (collapsed scheme), the row is produced from those
-  /// buffers without re-evaluating the detection model; otherwise it falls
-  /// back to the full recomputation. Either way the output is bit-identical
-  /// to pointwise_log_likelihood_into (the batch detection channel's
-  /// bit-identity contract). Precondition: `state` is the draw the
-  /// workspace's last update() produced, or the workspace was never
-  /// updated (fallback path).
-  void pointwise_into(std::span<const double> state, Workspace& workspace,
-                      std::span<double> out) const;
 
   /// Unnormalized log joint density of (state, data) — prior * likelihood.
   /// Exposed for testing the Gibbs conditionals against brute force.
@@ -173,12 +166,10 @@ class BayesianSrm final : public SrmModel {
   [[nodiscard]] std::int64_t initial_bugs_of(
       std::span<const double> state) const;
 
-  /// Shared tail of the pointwise fills: combines the fresh probability
-  /// buffer in `workspace` into per-day log-likelihood terms.
-  void fill_pointwise(std::int64_t initial_bugs, Workspace& workspace,
-                      std::span<double> out) const;
-
   PriorKind prior_;
+  /// Bug-content layer of the family: Poisson (poisson, sizebiased) or
+  /// negative binomial (negbin).
+  bool poisson_content_;
   std::unique_ptr<DetectionModel> model_;
   data::BugCountData data_;
   HyperPriorConfig config_;

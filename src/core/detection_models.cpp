@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "core/detection_tables.hpp"
-#include "core/size_biased.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
 
@@ -473,6 +472,89 @@ class LearningCurveModel final : public DetectionModel {
   }
 };
 
+// The size-biased family's multinomial detection channel
+// (Dey-Chakraborty, arXiv:2202.08107; multinomial form arXiv:2406.04360).
+// Each bug carries a latent detectability z ~ Gamma(shape, scale) (density
+// ∝ z^{shape-1} e^{-scale z}) and survives any single testing day with
+// probability e^{-z}, so big bugs are found first. Bugs still latent at the
+// start of day i are size-biased toward small z: their detectability is
+// Gamma(shape, scale + i - 1), and the day-i hazard among survivors is
+//
+//   log q_i = shape * (log(scale + i - 1) - log(scale + i)),
+//   p_i     = 1 - q_i = -expm1(log q_i),                      (decreasing)
+//   Q_k     = prod q_i = (scale / (scale + k))^shape          (Lomax tail).
+//
+// The day counts given N are multinomial over detection days, which
+// factorizes into exactly the sequential-binomial likelihood of Eq (2) with
+// this hazard. Both channels run through the log form: q_i itself never
+// underflows for admissible (shape, scale) but the log form is the exact
+// quantity the likelihood kernels consume, and -expm1 keeps p_i fully
+// accurate when q_i ~ 1 (large scale, the common posterior region).
+class SizeBiasedDetection final : public DetectionModel {
+ public:
+  DetectionModelKind kind() const override {
+    return DetectionModelKind::kSizeBiasedMultinomial;
+  }
+  std::string name() const override { return "multinomial"; }
+  std::size_t parameter_count() const override { return 2; }
+  std::vector<ParameterSupport> parameter_supports(
+      const DetectionModelLimits& limits) const override {
+    return {{"shape", 0.0, limits.sb_shape_max},
+            {"scale", 0.0, limits.sb_scale_max}};
+  }
+  double probability(std::size_t day,
+                     std::span<const double> zeta) const override {
+    return -std::expm1(log_survival(day, zeta));
+  }
+  double log_survival(std::size_t day,
+                      std::span<const double> zeta) const override {
+    const double shape = zeta[0];
+    const double scale = zeta[1];
+    return shape * (std::log(scale + static_cast<double>(day - 1)) -
+                    std::log(scale + static_cast<double>(day)));
+  }
+  // Batch channels: one log per day instead of two — log(scale + i - 1) at
+  // day i is exactly the log(scale + i) computed at day i - 1, so the loop
+  // carries it. Bit-identical to the scalar channel because the carried
+  // value is std::log of the same double (scale + double(day - 1)).
+  void probabilities_into(std::size_t days, std::span<const double> zeta,
+                          std::span<double> out) const override {
+    const double shape = zeta[0];
+    const double scale = zeta[1];
+    double prev = std::log(scale);
+    for (std::size_t i = 0; i < days; ++i) {
+      const double cur = std::log(scale + static_cast<double>(i + 1));
+      out[i] = -std::expm1(shape * (prev - cur));
+      prev = cur;
+    }
+  }
+  void log_survivals_into(std::size_t days, std::span<const double> zeta,
+                          std::span<double> out) const override {
+    const double shape = zeta[0];
+    const double scale = zeta[1];
+    double prev = std::log(scale);
+    for (std::size_t i = 0; i < days; ++i) {
+      const double cur = std::log(scale + static_cast<double>(i + 1));
+      out[i] = shape * (prev - cur);
+      prev = cur;
+    }
+  }
+  void detection_into(std::size_t days, std::span<const double> zeta,
+                      std::span<double> probabilities_out,
+                      std::span<double> log_survivals_out) const override {
+    const double shape = zeta[0];
+    const double scale = zeta[1];
+    double prev = std::log(scale);
+    for (std::size_t i = 0; i < days; ++i) {
+      const double cur = std::log(scale + static_cast<double>(i + 1));
+      const double log_q = shape * (prev - cur);
+      log_survivals_out[i] = log_q;
+      probabilities_out[i] = -std::expm1(log_q);
+      prev = cur;
+    }
+  }
+};
+
 constexpr std::array<DetectionModelKind, 5> kAllKinds = {
     DetectionModelKind::kConstant,        DetectionModelKind::kPadgettSpurrier,
     DetectionModelKind::kLogLogistic,     DetectionModelKind::kPareto,
@@ -606,7 +688,7 @@ std::unique_ptr<DetectionModel> make_detection_model(DetectionModelKind kind) {
     case DetectionModelKind::kLearningCurve:
       return std::make_unique<LearningCurveModel>();
     case DetectionModelKind::kSizeBiasedMultinomial:
-      return make_size_biased_detection();  // core/size_biased.cpp
+      return std::make_unique<SizeBiasedDetection>();
   }
   throw InvalidArgument("unknown DetectionModelKind");
 }

@@ -38,9 +38,9 @@ enum class DetectionModelKind {
                         ///< p_i = mu * theta i / (theta i + 1) — detection
                         ///< skill grows from 0 toward mu
   kSizeBiasedMultinomial = 7,  ///< "multinomial": the size-biased family's
-                               ///< detection likelihood (core/size_biased.hpp)
-                               ///< — per-bug Gamma(shape, scale)
-                               ///< detectability thinned day by day,
+                               ///< detection likelihood — per-bug
+                               ///< Gamma(shape, scale) detectability
+                               ///< thinned day by day,
                                ///< p_i = 1 - ((scale+i-1)/(scale+i))^shape,
                                ///< a decreasing hazard (big bugs found
                                ///< first). Only valid under the sizebiased
@@ -83,7 +83,7 @@ struct DetectionModelLimits {
   double theta_max = 10.0;
   double gamma_bound = 10.0;
   /// Supports of the size-biased multinomial detection parameters
-  /// (core/size_biased.hpp). Serialized omit-if-default so every artifact
+  /// (shape, scale). Serialized omit-if-default so every artifact
   /// identity that predates the size-biased family keeps its exact bytes.
   double sb_shape_max = 20.0;
   double sb_scale_max = 200.0;

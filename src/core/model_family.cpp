@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/bayes_srm.hpp"
-#include "core/size_biased.hpp"
 #include "support/error.hpp"
 
 namespace srm::core {
@@ -40,12 +39,6 @@ void register_poisson_family(ModelFamilyRegistry& registry) {
   family.default_model = DetectionModelKind::kConstant;
   family.hyper_parameter_names = {"lambda0"};
   family.tuned_scale = TunedScale::kLambdaMax;
-  family.make = [](DetectionModelKind model, data::BugCountData data,
-                   const HyperPriorConfig& config)
-      -> std::unique_ptr<SrmModel> {
-    return std::make_unique<BayesianSrm>(PriorKind::kPoisson, model,
-                                         std::move(data), config);
-  };
   registry.add(std::move(family));
 }
 
@@ -69,12 +62,26 @@ void register_negative_binomial_family(ModelFamilyRegistry& registry) {
   family.default_model = DetectionModelKind::kConstant;
   family.hyper_parameter_names = {"alpha0", "beta0"};
   family.tuned_scale = TunedScale::kAlphaMax;
-  family.make = [](DetectionModelKind model, data::BugCountData data,
-                   const HyperPriorConfig& config)
-      -> std::unique_ptr<SrmModel> {
-    return std::make_unique<BayesianSrm>(PriorKind::kNegativeBinomial, model,
-                                         std::move(data), config);
-  };
+  registry.add(std::move(family));
+}
+
+void register_sizebiased_family(ModelFamilyRegistry& registry) {
+  ModelFamily family;
+  family.kind = PriorKind::kSizeBiased;
+  family.id = "sizebiased";
+  family.display_name = "Size-biased prior (multinomial)";
+  family.table_title = "(iii) Size-biased prior.";
+  family.summary =
+      "Poisson(lambda0) bug content with per-bug Gamma(shape, scale) "
+      "detectability thinned day by day — big bugs found first "
+      "(Dey-Chakraborty)";
+  family.reference = "Dey-Chakraborty, arXiv:2202.08107 / 2406.04360";
+  family.reproduction = false;
+  family.selection_models = {DetectionModelKind::kSizeBiasedMultinomial};
+  family.accepted_models = {DetectionModelKind::kSizeBiasedMultinomial};
+  family.default_model = DetectionModelKind::kSizeBiasedMultinomial;
+  family.hyper_parameter_names = {"lambda0"};
+  family.tuned_scale = TunedScale::kLambdaMax;
   registry.add(std::move(family));
 }
 
@@ -103,7 +110,6 @@ void ModelFamilyRegistry::add(ModelFamily family) {
   SRM_EXPECTS(!family.id.empty(), "model family id must be non-empty");
   SRM_EXPECTS(!family.table_title.empty(),
               "model family table title must be non-empty");
-  SRM_EXPECTS(family.make != nullptr, "model family needs a factory");
   SRM_EXPECTS(!family.selection_models.empty(),
               "model family needs at least one selection model");
   if (find(family.id) != nullptr) {
@@ -146,7 +152,7 @@ const ModelFamilyRegistry& ModelFamilyRegistry::instance() {
     ModelFamilyRegistry bootstrap;
     register_poisson_family(bootstrap);
     register_negative_binomial_family(bootstrap);
-    register_size_biased_family(bootstrap);  // core/size_biased.cpp
+    register_sizebiased_family(bootstrap);
     return bootstrap;
   }();
   return registry;
@@ -196,8 +202,7 @@ std::unique_ptr<SrmModel> make_model(PriorKind prior,
                                      DetectionModelKind model,
                                      data::BugCountData data,
                                      const HyperPriorConfig& config) {
-  validate_family_model(prior, model);
-  return family(prior).make(model, std::move(data), config);
+  return std::make_unique<BayesianSrm>(prior, model, std::move(data), config);
 }
 
 std::string render_family_table_markdown() {

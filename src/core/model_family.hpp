@@ -2,9 +2,6 @@
 // family (prior structure x detection likelihood), bundling everything the
 // outer layers used to hard-code per family —
 //
-//   * construction: a factory returning the family's SrmModel (a
-//     mcmc::GibbsModel with the scoring/prediction channels the estimation
-//     pipeline needs);
 //   * parameter metadata: hyper-parameter names and which hyperprior limit
 //     the WAIC tuning grid searches;
 //   * canonical serialization identity: the stable id string used by the
@@ -16,9 +13,10 @@
 //
 // Every switch/if-chain over PriorKind/DetectionModelKind outside src/core/
 // is banned (srm-lint rule `family-dispatch`): mle/, report/, artifact/,
-// cli/ and serve/ consult the registry instead, so a new family lands by
-// writing one core TU and one registration line — see core/size_biased.cpp
-// for the proof.
+// cli/ and serve/ consult the registry instead. Every family runs the one
+// sampler, core::BayesianSrm, which make_model constructs; a new family
+// lands as a registry record plus a detection channel — the sizebiased
+// family is the proof.
 #pragma once
 
 #include <memory>
@@ -93,8 +91,8 @@ struct HyperPriorConfig {
 /// estimation pipeline consumes downstream of the sampler — pointwise
 /// log-likelihood rows (WAIC/LOO/streaming scoring), the state-vector
 /// layout (residual slot, detection-parameter block), and the detection
-/// model for out-of-window prediction. BayesianSrm and SizeBiasedSrm are
-/// the registered implementations.
+/// model for out-of-window prediction. BayesianSrm is the one
+/// implementation; the interface keeps the sampler out of the scorers.
 class SrmModel : public mcmc::GibbsModel {
  public:
   /// Registry key of the family this model belongs to.
@@ -161,11 +159,6 @@ struct ModelFamily {
   std::vector<std::string> hyper_parameter_names;
   /// Which hyperprior limit the tuning grid searches.
   TunedScale tuned_scale = TunedScale::kLambdaMax;
-  /// Constructs the family's model for one estimation cell.
-  std::unique_ptr<SrmModel> (*make)(DetectionModelKind model,
-                                    data::BugCountData data,
-                                    const HyperPriorConfig& config) =
-      nullptr;
 };
 
 /// The registry. Instantiable for tests; library code uses the process
@@ -173,7 +166,7 @@ struct ModelFamily {
 class ModelFamilyRegistry {
  public:
   /// Registers a family. Throws support::InvalidArgument on a duplicate id
-  /// or kind, an empty id/table title, a missing factory, or a
+  /// or kind, an empty id/table title, an empty selection grid, or a
   /// selection_models entry absent from accepted_models.
   void add(ModelFamily family);
 
@@ -218,8 +211,9 @@ std::vector<PriorKind> reproduction_family_kinds();
 /// message lists the family's accepted detection-model names.
 void validate_family_model(PriorKind family, DetectionModelKind model);
 
-/// Constructs the family's model after validate_family_model; the single
-/// construction path for fit/select/sweep/serve cells.
+/// Constructs the BayesianSrm of one estimation cell (its constructor runs
+/// validate_family_model); the single construction path for
+/// fit/select/sweep/serve cells.
 std::unique_ptr<SrmModel> make_model(PriorKind family,
                                      DetectionModelKind model,
                                      data::BugCountData data,

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -83,14 +85,14 @@ using srm::core::SamplerScheme;
 
 /// Allocations performed by `updates` steady-state scans after `warmup`
 /// warm-up scans on the full sys1 dataset.
-std::uint64_t count_update_allocations(PriorKind prior, int model_id,
+std::uint64_t count_update_allocations(PriorKind prior,
+                                       DetectionModelKind model_kind,
                                        SamplerScheme scheme, int warmup,
                                        int updates) {
   const auto data = srm::data::sys1_grouped();
   HyperPriorConfig config;
   config.scheme = scheme;
-  const BayesianSrm model(prior, static_cast<DetectionModelKind>(model_id),
-                          data, config);
+  const BayesianSrm model(prior, model_kind, data, config);
   srm::random::Rng rng(20240624);
   auto state = model.initial_state(rng);
   const auto workspace = model.make_workspace();
@@ -106,27 +108,36 @@ std::uint64_t count_update_allocations(PriorKind prior, int model_id,
   return g_allocation_count.load(std::memory_order_relaxed);
 }
 
-TEST(ZeroAllocationKernel, CollapsedSchemeAllModelsBothPriors) {
+/// Every registered (family, detection model) pair: both paper priors over
+/// model0..model6, plus the size-biased family's multinomial channel.
+std::vector<std::pair<PriorKind, DetectionModelKind>> kernel_cells() {
+  std::vector<std::pair<PriorKind, DetectionModelKind>> cells;
   for (const auto prior :
        {PriorKind::kPoisson, PriorKind::kNegativeBinomial}) {
     for (int model_id = 0; model_id <= 6; ++model_id) {
-      EXPECT_EQ(count_update_allocations(prior, model_id,
-                                         SamplerScheme::kCollapsed, 50, 100),
-                0u)
-          << srm::core::to_string(prior) << " model" << model_id;
+      cells.emplace_back(prior, static_cast<DetectionModelKind>(model_id));
     }
+  }
+  cells.emplace_back(PriorKind::kSizeBiased,
+                     DetectionModelKind::kSizeBiasedMultinomial);
+  return cells;
+}
+
+TEST(ZeroAllocationKernel, CollapsedSchemeAllModelsBothPriors) {
+  for (const auto& [prior, model] : kernel_cells()) {
+    EXPECT_EQ(count_update_allocations(prior, model,
+                                       SamplerScheme::kCollapsed, 50, 100),
+              0u)
+        << srm::core::to_string(prior) << " " << srm::core::to_string(model);
   }
 }
 
 TEST(ZeroAllocationKernel, VanillaSchemeAllModelsBothPriors) {
-  for (const auto prior :
-       {PriorKind::kPoisson, PriorKind::kNegativeBinomial}) {
-    for (int model_id = 0; model_id <= 6; ++model_id) {
-      EXPECT_EQ(count_update_allocations(prior, model_id,
-                                         SamplerScheme::kVanilla, 50, 100),
-                0u)
-          << srm::core::to_string(prior) << " model" << model_id;
-    }
+  for (const auto& [prior, model] : kernel_cells()) {
+    EXPECT_EQ(count_update_allocations(prior, model,
+                                       SamplerScheme::kVanilla, 50, 100),
+              0u)
+        << srm::core::to_string(prior) << " " << srm::core::to_string(model);
   }
 }
 
@@ -136,13 +147,13 @@ TEST(ZeroAllocationKernel, PointwiseLikelihoodIntoIsAllocationFree) {
                           data, {});
   srm::random::Rng rng(7);
   auto state = model.initial_state(rng);
-  BayesianSrm::Workspace workspace(model);
+  const auto workspace = model.make_workspace();
   std::vector<double> out(data.days());
-  model.pointwise_log_likelihood_into(state, workspace, out);  // warm-up
+  model.pointwise_row(state, *workspace, out);  // warm-up
   g_allocation_count.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
   for (int i = 0; i < 50; ++i) {
-    model.pointwise_log_likelihood_into(state, workspace, out);
+    model.pointwise_row(state, *workspace, out);
   }
   g_counting.store(false, std::memory_order_relaxed);
   EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), 0u);

@@ -155,6 +155,35 @@ TEST(BayesianSrm, ConfigValidation) {
                            DetectionModelKind::kConstant, small_data(),
                            config),
                srm::InvalidArgument);
+
+  // The size-biased family checks the limits its channel uses and ignores
+  // the paper families' alpha_max and theta_max.
+  const auto size_biased = [](const core::HyperPriorConfig& limits) {
+    return BayesianSrm(PriorKind::kSizeBiased,
+                       DetectionModelKind::kSizeBiasedMultinomial,
+                       small_data(), limits);
+  };
+  config = {};
+  config.limits.sb_shape_max = 0.0;
+  EXPECT_THROW(size_biased(config), srm::InvalidArgument);
+  config = {};
+  config.limits.sb_scale_max = 0.0;
+  EXPECT_THROW(size_biased(config), srm::InvalidArgument);
+  config = {};
+  config.alpha_max = 0.0;
+  EXPECT_NO_THROW(size_biased(config));
+  config = {};
+  config.limits.theta_max = 0.0;
+  EXPECT_NO_THROW(size_biased(config));
+
+  // A family never runs a detection model it does not accept.
+  EXPECT_THROW(BayesianSrm(PriorKind::kPoisson,
+                           DetectionModelKind::kSizeBiasedMultinomial,
+                           small_data()),
+               srm::InvalidArgument);
+  EXPECT_THROW(BayesianSrm(PriorKind::kSizeBiased,
+                           DetectionModelKind::kConstant, small_data()),
+               srm::InvalidArgument);
 }
 
 TEST(BayesianSrm, PriorToString) {

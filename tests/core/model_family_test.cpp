@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/bayes_srm.hpp"
 #include "data/datasets.hpp"
 #include "support/error.hpp"
 
@@ -34,12 +33,6 @@ ModelFamily stub_family(PriorKind kind, std::string id) {
   family.selection_models = {DetectionModelKind::kConstant};
   family.accepted_models = {DetectionModelKind::kConstant};
   family.default_model = DetectionModelKind::kConstant;
-  family.make = [](DetectionModelKind model, srm::data::BugCountData data,
-                   const core::HyperPriorConfig& config)
-      -> std::unique_ptr<core::SrmModel> {
-    return std::make_unique<core::BayesianSrm>(PriorKind::kPoisson, model,
-                                               std::move(data), config);
-  };
   return family;
 }
 
@@ -63,13 +56,6 @@ TEST(ModelFamilyRegistry, RejectsMalformedRecords) {
     ModelFamilyRegistry registry;
     EXPECT_THROW(registry.add(stub_family(PriorKind::kPoisson, "")),
                  srm::InvalidArgument);
-  }
-  // Missing factory.
-  {
-    ModelFamilyRegistry registry;
-    auto family = stub_family(PriorKind::kPoisson, "nofactory");
-    family.make = nullptr;
-    EXPECT_THROW(registry.add(std::move(family)), srm::InvalidArgument);
   }
   // A selection_models entry absent from accepted_models.
   {

@@ -2,17 +2,18 @@
 // the pointwise scoring contract, fixed-seed golden digests for both Gibbs
 // schemes (this family's own result-identity pin — it is not part of the
 // paper's 28-cell scalar golden set), and the collapsed/vanilla statistical
-// equivalence check.
-#include "core/size_biased.hpp"
-
+// equivalence check. Every model is built the way the estimation pipeline
+// builds it, through make_model.
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/bayes_srm.hpp"
 #include "core/model_family.hpp"
 #include "data/datasets.hpp"
 #include "mcmc/gibbs.hpp"
@@ -26,7 +27,13 @@ using core::DetectionModelKind;
 using core::HyperPriorConfig;
 using core::PriorKind;
 using core::SamplerScheme;
-using core::SizeBiasedSrm;
+
+std::unique_ptr<core::SrmModel> size_biased_model(
+    const srm::data::BugCountData& data, const HyperPriorConfig& config = {}) {
+  return core::make_model(PriorKind::kSizeBiased,
+                          DetectionModelKind::kSizeBiasedMultinomial, data,
+                          config);
+}
 
 std::uint64_t fnv1a_append(std::uint64_t hash, std::uint64_t bits) {
   for (int byte = 0; byte < 8; ++byte) {
@@ -51,7 +58,8 @@ std::uint64_t digest_of(const srm::mcmc::McmcRun& run) {
 TEST(SizeBiased, HazardMatchesTheLomaxClosedForms) {
   // p_i = 1 - ((scale + i - 1) / (scale + i))^shape, decreasing in i;
   // log q_i = shape * (log(scale + i - 1) - log(scale + i)).
-  const auto model = core::make_size_biased_detection();
+  const auto model =
+      core::make_detection_model(DetectionModelKind::kSizeBiasedMultinomial);
   EXPECT_EQ(model->kind(), DetectionModelKind::kSizeBiasedMultinomial);
   EXPECT_EQ(model->parameter_count(), 2u);
   const std::vector<double> zeta = {1.7, 3.2};  // (shape, scale)
@@ -79,7 +87,9 @@ TEST(SizeBiased, PointwiseRowMatchesAllocatingHelperBitwise) {
   // The streaming scorers consume pointwise_row; the allocating helper is
   // the reference. Same bits, day by day, and the log joint is finite.
   const auto data = srm::data::sys1_grouped();
-  const SizeBiasedSrm model(DetectionModelKind::kSizeBiasedMultinomial, data);
+  const auto owned = size_biased_model(data);
+  const auto& model = dynamic_cast<const core::BayesianSrm&>(*owned);
+  EXPECT_EQ(model.family(), PriorKind::kSizeBiased);
   srm::random::Rng rng(7);
   auto state = model.initial_state(rng);
   const auto workspace = model.make_workspace();
@@ -100,14 +110,13 @@ srm::mcmc::McmcRun golden_run(SamplerScheme scheme) {
   const auto data = srm::data::sys1_grouped().truncated(67);
   HyperPriorConfig config;
   config.scheme = scheme;
-  const SizeBiasedSrm model(DetectionModelKind::kSizeBiasedMultinomial, data,
-                            config);
+  const auto model = size_biased_model(data, config);
   srm::mcmc::GibbsOptions options;
   options.chain_count = 2;
   options.burn_in = 50;
   options.iterations = 120;
   options.seed = 20240624;
-  return srm::mcmc::run_gibbs(model, options);
+  return srm::mcmc::run_gibbs(*model, options);
 }
 
 TEST(SizeBiased, GoldenTraceDigestsBothSchemes) {
@@ -127,15 +136,14 @@ TEST(SizeBiased, CollapsedAndVanillaAgreeStatistically) {
   const auto mean_residual = [&](SamplerScheme scheme, std::uint64_t seed) {
     HyperPriorConfig config;
     config.scheme = scheme;
-    const SizeBiasedSrm model(DetectionModelKind::kSizeBiasedMultinomial,
-                              data, config);
+    const auto model = size_biased_model(data, config);
     srm::mcmc::GibbsOptions options;
     options.chain_count = 2;
     options.burn_in = 500;
     options.iterations = 2000;
     options.seed = seed;
-    const auto run = srm::mcmc::run_gibbs(model, options);
-    return srm::stats::mean(run.pooled(model.residual_index()));
+    const auto run = srm::mcmc::run_gibbs(*model, options);
+    return srm::stats::mean(run.pooled(model->residual_index()));
   };
 
   for (const std::uint64_t seed : {20240624ULL, 424242ULL}) {

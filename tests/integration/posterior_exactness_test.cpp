@@ -14,7 +14,9 @@
 //   g(N) = (N + 1) ln((A + N + 1)/(N + 1)) - N ln((A + N)/N),
 //
 // with A = alpha_max. For the heterogeneous Poisson cells (model3 on a
-// mu grid, model4 on a (mu, omega) grid) lambda0 integrates in closed form,
+// mu grid, model4 on a (mu, omega) grid, and the size-biased family, whose
+// bug-content layer is Poisson, on a (shape, scale) grid) lambda0
+// integrates in closed form,
 //
 //   ∫_0^{lambda_max} Poisson(R; lambda Q) lambda^{s_k} e^{-lambda (1-Q)} dlambda
 //     = Q^R Gamma(s_k + R + 1) P(s_k + R + 1, lambda_max) / R!,
@@ -159,21 +161,25 @@ std::vector<double> exact_poisson_residual_pmf(
   return pmf;
 }
 
-/// Runs the scalar collapsed sampler and checks its residual pmf and mean
-/// against `exact` with the per-bin tolerance of the model0 case.
-void expect_poisson_residual_pmf(core::DetectionModelKind kind,
-                                 const BugCountData& data, double lambda_max,
-                                 const std::vector<double>& exact) {
+/// Runs the sampler of (family, kind) under `scheme` and checks its
+/// residual pmf and mean against `exact` with the per-bin tolerance of the
+/// model0 case.
+void expect_poisson_residual_pmf(
+    core::PriorKind family, core::DetectionModelKind kind,
+    const BugCountData& data, double lambda_max,
+    const std::vector<double>& exact,
+    core::SamplerScheme scheme = core::SamplerScheme::kCollapsed) {
   const auto max_r = static_cast<std::int64_t>(exact.size()) - 1;
   core::HyperPriorConfig config;
   config.lambda_max = lambda_max;
-  const core::BayesianSrm model(core::PriorKind::kPoisson, kind, data, config);
+  config.scheme = scheme;
+  const auto model = core::make_model(family, kind, data, config);
   srm::mcmc::GibbsOptions gibbs;
   gibbs.chain_count = 2;
   gibbs.burn_in = 1000;
   gibbs.iterations = 40000;
   gibbs.seed = 1234;
-  const auto run = srm::mcmc::run_gibbs(model, gibbs);
+  const auto run = srm::mcmc::run_gibbs(*model, gibbs);
   const auto samples = run.pooled("residual");
   std::vector<double> empirical(exact.size(), 0.0);
   std::size_t inside = 0;
@@ -192,13 +198,14 @@ void expect_poisson_residual_pmf(core::DetectionModelKind kind,
     exact_mean += static_cast<double>(r) * p;
     if (p < 1e-4) continue;
     EXPECT_NEAR(empirical[static_cast<std::size_t>(r)], p, 0.15 * p + 0.0015)
-        << core::to_string(kind) << " r=" << r;
+        << core::to_string(kind) << " " << core::to_string(scheme)
+        << " r=" << r;
   }
   double mcmc_mean = 0.0;
   for (const double s : samples) mcmc_mean += s;
   mcmc_mean /= static_cast<double>(samples.size());
   EXPECT_NEAR(mcmc_mean, exact_mean, 0.03 * exact_mean + 0.05)
-      << core::to_string(kind);
+      << core::to_string(kind) << " " << core::to_string(scheme);
 }
 
 TEST(PosteriorExactness, ParetoGibbsMatchesClosedFormIntegration) {
@@ -209,7 +216,8 @@ TEST(PosteriorExactness, ParetoGibbsMatchesClosedFormIntegration) {
   for (int im = 0; im < kMuSteps; ++im) grid.push_back({(im + 0.5) / kMuSteps});
   const auto exact = exact_poisson_residual_pmf(
       data, core::DetectionModelKind::kPareto, lambda_max, grid, 120);
-  expect_poisson_residual_pmf(core::DetectionModelKind::kPareto, data,
+  expect_poisson_residual_pmf(core::PriorKind::kPoisson,
+                              core::DetectionModelKind::kPareto, data,
                               lambda_max, exact);
 }
 
@@ -225,8 +233,35 @@ TEST(PosteriorExactness, WeibullGibbsMatchesClosedFormIntegration) {
   }
   const auto exact = exact_poisson_residual_pmf(
       data, core::DetectionModelKind::kWeibull, lambda_max, grid, 120);
-  expect_poisson_residual_pmf(core::DetectionModelKind::kWeibull, data,
+  expect_poisson_residual_pmf(core::PriorKind::kPoisson,
+                              core::DetectionModelKind::kWeibull, data,
                               lambda_max, exact);
+}
+
+TEST(PosteriorExactness, SizeBiasedGibbsMatchesClosedFormIntegration) {
+  // Midpoint grid over the default (shape, scale) prior box; both schemes
+  // must reproduce the exact pmf.
+  const BugCountData data("t", {2, 1, 1, 0, 1});
+  const double lambda_max = 40.0;
+  const core::DetectionModelLimits limits;
+  constexpr int kSteps = 400;
+  std::vector<std::vector<double>> grid;
+  for (int is = 0; is < kSteps; ++is) {
+    for (int ic = 0; ic < kSteps; ++ic) {
+      grid.push_back({limits.sb_shape_max * (is + 0.5) / kSteps,
+                      limits.sb_scale_max * (ic + 0.5) / kSteps});
+    }
+  }
+  const auto exact = exact_poisson_residual_pmf(
+      data, core::DetectionModelKind::kSizeBiasedMultinomial, lambda_max, grid,
+      120);
+  for (const auto scheme :
+       {core::SamplerScheme::kCollapsed, core::SamplerScheme::kVanilla}) {
+    expect_poisson_residual_pmf(
+        core::PriorKind::kSizeBiased,
+        core::DetectionModelKind::kSizeBiasedMultinomial, data, lambda_max,
+        exact, scheme);
+  }
 }
 
 /// Exact NB-prior residual pmf on [0, max_r], normalised over that range.

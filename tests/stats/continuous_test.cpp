@@ -1,24 +1,11 @@
-// Tests for the continuous distribution objects: Gamma, TruncatedGamma,
-// Beta, Uniform, Normal.
-#include <cmath>
-
+// Tests for the continuous distribution object: Beta.
 #include <gtest/gtest.h>
 
-#include "random/rng.hpp"
 #include "stats/beta.hpp"
-#include "stats/gamma.hpp"
-#include "stats/normal.hpp"
-#include "stats/uniform.hpp"
-#include "support/error.hpp"
 
 namespace {
 
-using srm::random::Rng;
 using srm::stats::Beta;
-using srm::stats::Gamma;
-using srm::stats::Normal;
-using srm::stats::TruncatedGamma;
-using srm::stats::Uniform;
 
 // Trapezoid integral of a pdf over [lo, hi].
 template <typename D>
@@ -27,77 +14,6 @@ double integrate_pdf(const D& d, double lo, double hi, int steps = 20000) {
   double total = 0.5 * (d.pdf(lo) + d.pdf(hi));
   for (int i = 1; i < steps; ++i) total += d.pdf(lo + i * h);
   return total * h;
-}
-
-TEST(GammaDist, PdfIntegratesToOne) {
-  const Gamma d(3.0, 2.0);
-  EXPECT_NEAR(integrate_pdf(d, 1e-9, 20.0), 1.0, 1e-5);
-}
-
-TEST(GammaDist, CdfQuantileRoundTrip) {
-  const Gamma d(4.5, 0.8);
-  for (const double p : {0.01, 0.25, 0.5, 0.75, 0.99}) {
-    EXPECT_NEAR(d.cdf(d.quantile(p)), p, 1e-9);
-  }
-}
-
-TEST(GammaDist, MomentsAndSupport) {
-  const Gamma d(5.0, 2.5);
-  EXPECT_DOUBLE_EQ(d.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(d.variance(), 0.8);
-  EXPECT_EQ(d.pdf(-1.0), 0.0);
-  EXPECT_EQ(d.cdf(0.0), 0.0);
-}
-
-TEST(GammaDist, ExponentialSpecialCase) {
-  // Gamma(1, rate) is Exponential(rate).
-  const Gamma d(1.0, 3.0);
-  EXPECT_NEAR(d.pdf(0.5), 3.0 * std::exp(-1.5), 1e-12);
-  EXPECT_NEAR(d.cdf(0.5), 1.0 - std::exp(-1.5), 1e-12);
-}
-
-TEST(TruncatedGammaDist, DensityVanishesOutsideSupport) {
-  const TruncatedGamma d(3.0, 1.0, 2.0);
-  EXPECT_EQ(std::exp(d.log_pdf(-0.1)), 0.0);
-  EXPECT_EQ(std::exp(d.log_pdf(2.1)), 0.0);
-  EXPECT_GT(std::exp(d.log_pdf(1.0)), 0.0);
-}
-
-TEST(TruncatedGammaDist, CdfReachesOneAtBound) {
-  const TruncatedGamma d(3.0, 1.0, 2.0);
-  EXPECT_NEAR(d.cdf(2.0), 1.0, 1e-12);
-  EXPECT_EQ(d.cdf(0.0), 0.0);
-}
-
-TEST(TruncatedGammaDist, QuantileRoundTrip) {
-  const TruncatedGamma d(137.0, 1.0, 100.0);
-  for (const double p : {0.05, 0.5, 0.95}) {
-    EXPECT_NEAR(d.cdf(d.quantile(p)), p, 1e-8);
-  }
-}
-
-TEST(TruncatedGammaDist, MeanMatchesNumericIntegral) {
-  const TruncatedGamma d(4.0, 2.0, 1.5);
-  // E[X | X <= 1.5] by trapezoid over x * pdf.
-  const int steps = 40000;
-  const double h = 1.5 / steps;
-  double numeric = 0.0;
-  for (int i = 1; i < steps; ++i) {
-    const double x = i * h;
-    numeric += x * std::exp(d.log_pdf(x));
-  }
-  numeric *= h;
-  EXPECT_NEAR(d.mean(), numeric, 1e-4);
-}
-
-TEST(TruncatedGammaDist, SamplesInsideSupport) {
-  const TruncatedGamma d(2.0, 1.0, 0.5);
-  Rng rng(3);
-  for (int i = 0; i < 10000; ++i) {
-    const double x = d.sample(rng);
-    EXPECT_GT(x, 0.0);
-    EXPECT_LE(x, 0.5);
-  }
 }
 
 TEST(BetaDist, PdfIntegratesToOne) {
@@ -122,54 +38,6 @@ TEST(BetaDist, MomentFormulas) {
   const Beta d(2.0, 6.0);
   EXPECT_DOUBLE_EQ(d.mean(), 0.25);
   EXPECT_NEAR(d.variance(), 2.0 * 6.0 / (64.0 * 9.0), 1e-12);
-}
-
-TEST(UniformDist, BasicProperties) {
-  const Uniform d(-2.0, 3.0);
-  EXPECT_DOUBLE_EQ(d.pdf(0.0), 0.2);
-  EXPECT_DOUBLE_EQ(d.pdf(-3.0), 0.0);
-  EXPECT_DOUBLE_EQ(d.cdf(-2.0), 0.0);
-  EXPECT_DOUBLE_EQ(d.cdf(0.5), 0.5);
-  EXPECT_DOUBLE_EQ(d.cdf(4.0), 1.0);
-  EXPECT_DOUBLE_EQ(d.quantile(0.5), 0.5);
-  EXPECT_DOUBLE_EQ(d.mean(), 0.5);
-  EXPECT_NEAR(d.variance(), 25.0 / 12.0, 1e-12);
-}
-
-TEST(UniformDist, SamplesInRange) {
-  const Uniform d(5.0, 6.0);
-  Rng rng(4);
-  for (int i = 0; i < 10000; ++i) {
-    const double x = d.sample(rng);
-    EXPECT_GE(x, 5.0);
-    EXPECT_LT(x, 6.0);
-  }
-}
-
-TEST(UniformDist, RejectsEmptyInterval) {
-  EXPECT_THROW(Uniform(1.0, 1.0), srm::InvalidArgument);
-  EXPECT_THROW(Uniform(2.0, 1.0), srm::InvalidArgument);
-}
-
-TEST(NormalDist, PdfAndCdfKnownValues) {
-  const Normal d(0.0, 1.0);
-  EXPECT_NEAR(d.pdf(0.0), 1.0 / std::sqrt(2.0 * M_PI), 1e-12);
-  EXPECT_NEAR(d.cdf(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(d.cdf(1.96), 0.975, 1e-4);
-}
-
-TEST(NormalDist, LocationScaleConsistency) {
-  const Normal d(10.0, 2.0);
-  const Normal standard(0.0, 1.0);
-  for (const double x : {6.0, 10.0, 13.0}) {
-    EXPECT_NEAR(d.cdf(x), standard.cdf((x - 10.0) / 2.0), 1e-12);
-  }
-  EXPECT_NEAR(d.quantile(0.975), 10.0 + 2.0 * 1.959963984540054, 1e-8);
-}
-
-TEST(NormalDist, RejectsInvalidSd) {
-  EXPECT_THROW(Normal(0.0, 0.0), srm::InvalidArgument);
-  EXPECT_THROW(Normal(0.0, -1.0), srm::InvalidArgument);
 }
 
 }  // namespace
