@@ -7,8 +7,6 @@
 
 namespace srm::artifact {
 
-namespace {
-
 using support::Json;
 
 Json canonical_counts(const data::BugCountData& base) {
@@ -18,7 +16,6 @@ Json canonical_counts(const data::BugCountData& base) {
   return counts;
 }
 
-/// Result-determining Gibbs fields only (see the header's contract).
 Json canonical_gibbs(const mcmc::GibbsOptions& gibbs) {
   Json json = Json::Object{};
   json.set("chain_count", Json::from_unsigned(gibbs.chain_count));
@@ -28,8 +25,6 @@ Json canonical_gibbs(const mcmc::GibbsOptions& gibbs) {
   json.set("seed", static_cast<std::int64_t>(gibbs.seed));
   return json;
 }
-
-}  // namespace
 
 std::uint64_t fnv1a64(std::string_view bytes) {
   std::uint64_t hash = 14695981039346656037ULL;

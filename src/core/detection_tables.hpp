@@ -1,7 +1,7 @@
-// Day-indexed constant tables shared by the detection models' batch
-// channels. Model2 consumes log(d) and model3 consumes log(d+2)/(d+1);
-// before this helper each model grew its own thread_local cache inside
-// detection_models.cpp with the same lifecycle duplicated per table.
+// Day-indexed constant tables shared by the detection models' range
+// kernels. Model2 consumes log(d) and model3 consumes log(d+2)/(d+1), read
+// at offset first_day - 1 so a one-day call and a batch fill see the same
+// entry for the same day.
 #pragma once
 
 #include <cstddef>
@@ -9,10 +9,8 @@
 
 namespace srm::core {
 
-/// Parallel day-indexed tables, entry [i] describing day i+1. Entries are
-/// computed by the exact expressions the scalar detection channels use
-/// (`std::log(double(d))` and `std::log(d + 2.0) / (d + 1.0)`), so cached
-/// values are bit-identical to the inline ones they replaced.
+/// Parallel day-indexed tables, entry [i] describing day i+1, computed as
+/// `std::log(double(d))` and `std::log(d + 2.0) / (d + 1.0)`.
 struct DayTables {
   std::vector<double> log_day;          ///< log(d) for d = 1..days
   std::vector<double> pareto_exponent;  ///< log(d+2)/(d+1) for d = 1..days

@@ -146,11 +146,6 @@ double sample_normal(Rng& rng, double mean, double sd) {
   return mean + sd * sample_normal(rng);
 }
 
-double sample_exponential(Rng& rng, double lambda) {
-  SRM_EXPECTS(lambda > 0.0, "sample_exponential requires lambda > 0");
-  return -std::log(rng.uniform_open()) / lambda;
-}
-
 double sample_gamma(Rng& rng, double shape, double rate) {
   SRM_EXPECTS(shape > 0.0, "sample_gamma requires shape > 0");
   SRM_EXPECTS(rate > 0.0, "sample_gamma requires rate > 0");
@@ -233,64 +228,6 @@ double sample_truncated_gamma(Rng& rng, double shape, double rate,
   const double x =
       inverse_log_regularized_gamma_p(shape, log_target, rate * upper) / rate;
   return std::min(x, upper);
-}
-
-std::size_t sample_categorical(Rng& rng, std::span<const double> weights) {
-  SRM_EXPECTS(!weights.empty(), "sample_categorical requires weights");
-  double total = 0.0;
-  for (const double w : weights) {
-    SRM_EXPECTS(w >= 0.0 && std::isfinite(w),
-                "sample_categorical weights must be finite and >= 0");
-    total += w;
-  }
-  SRM_EXPECTS(total > 0.0, "sample_categorical weights must not all be zero");
-  double target = rng.uniform() * total;
-  for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
-    if (target < weights[i]) return i;
-    target -= weights[i];
-  }
-  return weights.size() - 1;
-}
-
-AliasTable::AliasTable(std::span<const double> weights) {
-  SRM_EXPECTS(!weights.empty(), "AliasTable requires weights");
-  const std::size_t n = weights.size();
-  double total = 0.0;
-  for (const double w : weights) {
-    SRM_EXPECTS(w >= 0.0 && std::isfinite(w),
-                "AliasTable weights must be finite and >= 0");
-    total += w;
-  }
-  SRM_EXPECTS(total > 0.0, "AliasTable weights must not all be zero");
-
-  probability_.assign(n, 0.0);
-  alias_.assign(n, 0);
-  std::vector<double> scaled(n);
-  std::vector<std::uint32_t> small;
-  std::vector<std::uint32_t> large;
-  for (std::size_t i = 0; i < n; ++i) {
-    scaled[i] = weights[i] * static_cast<double>(n) / total;
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    small.pop_back();
-    const std::uint32_t l = large.back();
-    probability_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
-    }
-  }
-  for (const std::uint32_t i : large) probability_[i] = 1.0;
-  for (const std::uint32_t i : small) probability_[i] = 1.0;
-}
-
-std::size_t AliasTable::sample(Rng& rng) const {
-  const std::size_t column = rng.uniform_index(probability_.size());
-  return rng.uniform() < probability_[column] ? column : alias_[column];
 }
 
 }  // namespace srm::random

@@ -2,7 +2,6 @@
 //
 // Algorithms:
 //  * normal       — Marsaglia polar method
-//  * exponential  — inversion
 //  * gamma        — Marsaglia–Tsang squeeze (with the a<1 boost)
 //  * beta         — ratio of gammas
 //  * poisson      — inversion for small mean, PTRS transformed rejection
@@ -16,8 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "random/rng.hpp"
 
@@ -28,9 +25,6 @@ double sample_normal(Rng& rng);
 
 /// Normal with the given mean and standard deviation (sd > 0).
 double sample_normal(Rng& rng, double mean, double sd);
-
-/// Exponential with rate lambda > 0.
-double sample_exponential(Rng& rng, double lambda);
 
 /// Gamma with shape > 0 and rate > 0 (mean = shape / rate).
 double sample_gamma(Rng& rng, double shape, double rate);
@@ -56,24 +50,5 @@ std::int64_t sample_negative_binomial(Rng& rng, double alpha, double beta);
 /// double, the inversion runs on log P instead.
 double sample_truncated_gamma(Rng& rng, double shape, double rate,
                               double upper);
-
-/// Samples an index with probability proportional to weights[i] (>= 0,
-/// not all zero). Linear scan; fine for the small supports used here.
-std::size_t sample_categorical(Rng& rng, std::span<const double> weights);
-
-/// Walker alias table for repeated categorical sampling from one
-/// distribution — O(n) build, O(1) per draw.
-class AliasTable {
- public:
-  explicit AliasTable(std::span<const double> weights);
-
-  std::size_t sample(Rng& rng) const;
-
-  std::size_t size() const { return probability_.size(); }
-
- private:
-  std::vector<double> probability_;
-  std::vector<std::uint32_t> alias_;
-};
 
 }  // namespace srm::random

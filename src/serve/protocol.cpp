@@ -147,35 +147,17 @@ core::DetectionModelKind parse_model(const Json& request,
   return *parsed;
 }
 
-/// The result-determining Gibbs fields, mirroring the artifact layer's
-/// canonical form (artifact/spec_hash.cpp).
-Json canonical_gibbs(const mcmc::GibbsOptions& gibbs) {
-  Json json = Json::Object{};
-  json.set("chain_count", Json::from_unsigned(gibbs.chain_count));
-  json.set("burn_in", Json::from_unsigned(gibbs.burn_in));
-  json.set("iterations", Json::from_unsigned(gibbs.iterations));
-  json.set("thin", Json::from_unsigned(gibbs.thin));
-  json.set("seed", static_cast<std::int64_t>(gibbs.seed));
-  return json;
-}
-
-Json canonical_counts(const data::BugCountData& base) {
-  Json::Array counts;
-  counts.reserve(base.days());
-  for (const auto count : base.counts()) counts.push_back(count);
-  return counts;
-}
-
 /// Op-tagged canonical identity for the request shapes that are not plain
-/// sweep cells (predict/release/select).
+/// sweep cells (predict/release/select), built from the artifact layer's
+/// canonical counts and Gibbs fields.
 std::string op_identity(const Request& request) {
   Json json = Json::Object{};
   json.set("op", to_string(request.op));
-  json.set("counts", canonical_counts(request.project));
+  json.set("counts", artifact::canonical_counts(request.project));
   json.set("prior", core::to_string(request.fit.prior));
   json.set("model", core::to_string(request.fit.model));
   json.set("config", artifact::to_json(request.fit.config));
-  json.set("gibbs", canonical_gibbs(request.fit.gibbs));
+  json.set("gibbs", artifact::canonical_gibbs(request.fit.gibbs));
   switch (request.op) {
     case Op::kPredict:
       json.set("fit_days", Json::from_unsigned(request.fit_days));

@@ -309,41 +309,6 @@ double inverse_regularized_beta(double a, double b, double p) {
   return x;
 }
 
-double digamma(double x) {
-  SRM_EXPECTS(x > 0.0, "digamma requires x > 0");
-  double result = 0.0;
-  // Recurrence to push the argument above 12, then asymptotic expansion
-  // (terms through x^-8 give ~1e-14 relative error at x >= 12).
-  while (x < 12.0) {
-    result -= 1.0 / x;
-    x += 1.0;
-  }
-  const double inv = 1.0 / x;
-  const double inv2 = inv * inv;
-  result += std::log(x) - 0.5 * inv -
-            inv2 * (1.0 / 12.0 -
-                    inv2 * (1.0 / 120.0 -
-                            inv2 * (1.0 / 252.0 - inv2 / 240.0)));
-  return result;
-}
-
-double trigamma(double x) {
-  SRM_EXPECTS(x > 0.0, "trigamma requires x > 0");
-  double result = 0.0;
-  while (x < 12.0) {
-    result += 1.0 / (x * x);
-    x += 1.0;
-  }
-  const double inv = 1.0 / x;
-  const double inv2 = inv * inv;
-  result +=
-      inv * (1.0 + 0.5 * inv +
-             inv2 * (1.0 / 6.0 -
-                     inv2 * (1.0 / 30.0 -
-                             inv2 * (1.0 / 42.0 - inv2 / 30.0))));
-  return result;
-}
-
 double normal_cdf(double z) {
   return 0.5 * std::erfc(-z / std::sqrt(2.0));
 }

@@ -73,12 +73,6 @@ double regularized_beta(double a, double b, double x);
 /// Inverse of I_.(a, b): returns x with I_x(a, b) = p.
 double inverse_regularized_beta(double a, double b, double p);
 
-/// Digamma function psi(x) = d/dx log Gamma(x), x > 0.
-double digamma(double x);
-
-/// Trigamma function psi'(x), x > 0.
-double trigamma(double x);
-
 /// Standard normal CDF Phi(z).
 double normal_cdf(double z);
 

@@ -191,6 +191,7 @@ TEST(Cli, ModelErrorListsRegistryNames) {
   // The error text is derived from the detection-model registry.
   EXPECT_NE(result.err.find("model0"), std::string::npos);
   EXPECT_NE(result.err.find("model6"), std::string::npos);
+  EXPECT_NE(result.err.find("multinomial"), std::string::npos);
 }
 
 TEST(Cli, FitJsonFormat) {

@@ -1,11 +1,15 @@
-// Bit-identity tests for the batch detection-model channels.
+// Range-kernel tests for the detection-model channels.
 //
-// The batch overrides hoist day-invariant subexpressions and share powers
-// between the probability and log-survival channels; the contract is that
-// every value equals the scalar channel's result BIT FOR BIT (identical
-// operations on identical inputs), which is what keeps fixed-seed MCMC
-// traces unchanged. Probed across the full parameter supports, including
-// the boundary regions where model2's mu^e overflows.
+// Every channel runs one per-model kernel over a range of days. A scalar
+// call is a one-day range starting at day d; a batch call is the range
+// starting at day 1. The kernels hoist day-invariant subexpressions, carry
+// a day power (model4) or a log (multinomial) from one day to the next and
+// read day-indexed tables at an offset (model2/3), so a one-day range at
+// day d must equal day d of a range from day 1 BIT FOR BIT — which is what
+// keeps fixed-seed MCMC traces unchanged. Probed across the full parameter
+// supports, including the boundary regions where model2's mu^e overflows.
+// The checked entry points reject a short buffer, a wrong-sized zeta and
+// day 0 for every kind.
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -121,6 +125,8 @@ TEST_P(DetectionBatch, BatchRejectsUndersizedBuffer) {
                srm::InvalidArgument);
   EXPECT_THROW(model->detection_into(kDays, zeta, small, full),
                srm::InvalidArgument);
+  EXPECT_THROW((void)model->probability(0, zeta), srm::InvalidArgument);
+  EXPECT_THROW((void)model->log_survival(0, zeta), srm::InvalidArgument);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -131,7 +137,8 @@ INSTANTIATE_TEST_SUITE_P(
                       DetectionModelKind::kPareto,
                       DetectionModelKind::kWeibull,
                       DetectionModelKind::kRayleigh,
-                      DetectionModelKind::kLearningCurve),
+                      DetectionModelKind::kLearningCurve,
+                      DetectionModelKind::kSizeBiasedMultinomial),
     [](const ::testing::TestParamInfo<DetectionModelKind>& param_info) {
       return srm::core::to_string(param_info.param);
     });

@@ -191,7 +191,7 @@ TEST(DetectionModels, SupportsReflectLimits) {
 TEST(DetectionModels, WrongZetaSizeThrows) {
   const auto m = core::make_detection_model(DetectionModelKind::kConstant);
   const std::vector<double> two{0.5, 0.5};
-  EXPECT_THROW(m->probability(1, two), srm::InvalidArgument);
+  EXPECT_THROW((void)m->probability(1, two), srm::InvalidArgument);
 }
 
 TEST(DetectionModels, ProbabilitiesVectorMatchesScalar) {

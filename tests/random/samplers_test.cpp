@@ -74,15 +74,6 @@ TEST(NormalSampler, RejectsNonPositiveSd) {
                srm::InvalidArgument);
 }
 
-TEST(ExponentialSampler, Moments) {
-  Rng rng(21);
-  const auto m = sample_moments(rng, 200000, [](Rng& r) {
-    return srm::random::sample_exponential(r, 2.5);
-  });
-  EXPECT_NEAR(m.mean, 0.4, 0.005);
-  EXPECT_NEAR(m.variance, 0.16, 0.01);
-}
-
 TEST(GammaSampler, MomentsAcrossShapes) {
   for (const double shape : {0.3, 0.9, 1.0, 2.5, 10.0, 150.0}) {
     Rng rng(static_cast<std::uint64_t>(shape * 1000) + 31);
@@ -326,47 +317,6 @@ TEST(TruncatedGammaSampler, UnderflowingCapsInvertInTheLogDomain) {
     EXPECT_LT(distance, 1.63 / std::sqrt(static_cast<double>(kDraws)))
         << "shape=" << c.shape << " log cap=" << log_cap;
   }
-}
-
-TEST(CategoricalSampler, MatchesWeights) {
-  Rng rng(151);
-  const std::vector<double> weights{1.0, 3.0, 0.0, 6.0};
-  std::vector<int> counts(4, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    ++counts[srm::random::sample_categorical(rng, weights)];
-  }
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.01);
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.01);
-}
-
-TEST(CategoricalSampler, AllZeroWeightsThrow) {
-  Rng rng(161);
-  const std::vector<double> weights{0.0, 0.0};
-  EXPECT_THROW(srm::random::sample_categorical(rng, weights),
-               srm::InvalidArgument);
-}
-
-TEST(AliasTable, MatchesWeights) {
-  Rng rng(171);
-  const std::vector<double> weights{5.0, 1.0, 2.0, 2.0};
-  const srm::random::AliasTable table(weights);
-  std::vector<int> counts(4, 0);
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) ++counts[table.sample(rng)];
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.5, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.1, 0.01);
-  EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.2, 0.01);
-  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.2, 0.01);
-}
-
-TEST(AliasTable, SingleElement) {
-  Rng rng(181);
-  const std::vector<double> weights{3.0};
-  const srm::random::AliasTable table(weights);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(table.sample(rng), 0u);
 }
 
 }  // namespace

@@ -62,6 +62,23 @@ TEST(ServeProtocol, HashSeparatesSeedsDaysAndOps) {
   EXPECT_EQ(serve::request_hash(stats), "");
 }
 
+TEST(ServeProtocol, OpHashesArePinned) {
+  // The disk store keys predict/release/select cells on these hashes, so a
+  // drift in the op-tagged canonical form would orphan every stored cell.
+  const std::string gibbs =
+      R"("gibbs":{"chains":2,"burn_in":30,"iterations":80,"seed":7}})";
+  const auto hash = [&](const std::string& head) {
+    return serve::request_hash(serve::parse_request(parse(head + gibbs)));
+  };
+  EXPECT_EQ(hash(R"({"op":"predict","project":"sys1","fit_days":60,)"),
+            "9fa23d3fb11c9af3");
+  EXPECT_EQ(
+      hash(R"({"op":"release","project":"sys1","day":48,"horizon":20,)"),
+      "a9fd1db8a97dc4b6");
+  EXPECT_EQ(hash(R"({"op":"select","project":"sys1","day":48,)"),
+            "95c990ab99d33083");
+}
+
 TEST(ServeProtocol, IdOfAnyJsonTypeIsEchoed) {
   const auto request = serve::parse_request(
       parse(R"({"id":{"k":[1,2]},"op":"stats"})"));

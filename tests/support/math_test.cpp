@@ -258,30 +258,6 @@ TEST(InverseRegularizedBeta, RoundTrips) {
   }
 }
 
-TEST(Digamma, ReferenceValues) {
-  EXPECT_NEAR(m::digamma(1.0), -0.57721566490153287, 1e-12);  // -EulerGamma
-  EXPECT_NEAR(m::digamma(0.5), -1.9635100260214235, 1e-12);
-  EXPECT_NEAR(m::digamma(10.0), 2.2517525890667211, 1e-12);
-}
-
-TEST(Digamma, RecurrenceProperty) {
-  // psi(x+1) = psi(x) + 1/x.
-  for (const double x : {0.2, 0.9, 1.7, 3.3, 12.0}) {
-    EXPECT_NEAR(m::digamma(x + 1.0), m::digamma(x) + 1.0 / x, 1e-11);
-  }
-}
-
-TEST(Trigamma, ReferenceValues) {
-  EXPECT_NEAR(m::trigamma(1.0), 1.6449340668482264, 1e-11);  // pi^2/6
-  EXPECT_NEAR(m::trigamma(0.5), 4.9348022005446793, 1e-10);  // pi^2/2
-}
-
-TEST(Trigamma, RecurrenceProperty) {
-  for (const double x : {0.4, 1.1, 5.0}) {
-    EXPECT_NEAR(m::trigamma(x + 1.0), m::trigamma(x) - 1.0 / (x * x), 1e-10);
-  }
-}
-
 TEST(NormalCdf, ReferenceValues) {
   EXPECT_NEAR(m::normal_cdf(0.0), 0.5, 1e-15);
   EXPECT_NEAR(m::normal_cdf(1.0), 0.84134474606854293, 1e-12);
