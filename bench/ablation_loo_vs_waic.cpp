@@ -5,11 +5,12 @@
 // diagnostics. Expected: looic tracks the deviance-scale WAIC within a few
 // units per model and induces the same ranking (model1 best, model3 worst).
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 
 #include "core/loo.hpp"
-#include "core/waic.hpp"
+#include "core/streaming.hpp"
 #include "data/datasets.hpp"
 #include "mcmc/gibbs.hpp"
 #include "support/table.hpp"
@@ -31,9 +32,13 @@ int main() {
        {core::PriorKind::kPoisson, core::PriorKind::kNegativeBinomial}) {
     for (const auto kind : core::all_detection_model_kinds()) {
       const auto model = core::make_model(prior, kind, observed, {});
-      const auto run = mcmc::run_gibbs(*model, gibbs);
-      const auto waic = core::compute_waic(*model, run);
-      const auto loo = core::compute_psis_loo(*model, run);
+      core::StreamingScorer scorer(*model, gibbs.chain_count,
+                                   gibbs.iterations, /*keep_matrix=*/true);
+      const std::array<mcmc::PosteriorAccumulator*, 1> sinks{&scorer};
+      mcmc::run_gibbs(*model, gibbs, sinks);
+      const auto waic = scorer.waic();
+      const auto loo =
+          core::compute_psis_loo_from_matrix(scorer.log_likelihood_matrix());
       double max_k = 0.0;
       for (const auto& point : loo.pointwise) {
         if (std::isfinite(point.pareto_k)) {

@@ -59,7 +59,6 @@ Json to_json(const mcmc::GibbsOptions& gibbs) {
   // int64 and round-tripped with the matching cast below.
   json.set("seed", static_cast<std::int64_t>(gibbs.seed));
   json.set("parallel_chains", gibbs.parallel_chains);
-  json.set("keep_traces", gibbs.keep_traces);
   return json;
 }
 
@@ -71,10 +70,11 @@ mcmc::GibbsOptions gibbs_options_from_json(const Json& json) {
   gibbs.thin = size_at(json, "thin");
   gibbs.seed = static_cast<std::uint64_t>(json.at("seed").as_int());
   gibbs.parallel_chains = json.at("parallel_chains").as_bool();
-  gibbs.keep_traces = json.at("keep_traces").as_bool();
-  // Specs written by the removed SIMD sampler forks carry one of these
-  // members. Their draws never came from the scalar scan, so loading them
-  // as default-path specs would misdescribe the stored results.
+  // Specs written before every draw was streamed also carry a
+  // trace-retention member; it never changed a result, so it is ignored.
+  // Specs written by the removed SIMD sampler forks, by contrast, carry one
+  // of these members. Their draws never came from the scalar scan, so
+  // loading them as default-path specs would misdescribe the stored results.
   for (const std::string_view fork : {"vectorized", "chain_lanes"}) {
     if (json.find(fork) != nullptr) {
       throw InvalidArgument("gibbs member \"" + std::string(fork) +

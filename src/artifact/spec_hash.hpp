@@ -9,10 +9,9 @@
 //   * prior, detection model, hyperprior config (all fields, including the
 //     sampler scheme — schemes share a posterior but not a draw sequence),
 //   * the result-determining Gibbs fields: chain_count, burn_in, iterations,
-//     thin, seed. The execution-only fields parallel_chains and keep_traces
-//     are EXCLUDED: the library's bit-identity contracts guarantee they do
-//     not change any retained draw, so runs differing only there share
-//     artifacts.
+//     thin, seed. The execution-only field parallel_chains is EXCLUDED: the
+//     library's bit-identity contract guarantees it does not change any
+//     retained draw, so runs differing only there share artifacts.
 //   * the observation day and the eventual bug total.
 //
 // Two runs produce the same hash iff they would produce bit-identical

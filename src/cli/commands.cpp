@@ -45,13 +45,11 @@ data::BugCountData load_dataset(const Args& args,
   }();
   // --days truncates inside the series and zero-pads (virtual testing)
   // beyond it.
-  const auto days = args.get_int("days", 0);
-  if (days > 0) {
-    if (static_cast<std::size_t>(days) <= data.days()) {
-      data = data.truncated(static_cast<std::size_t>(days));
-    } else {
-      data = data.with_virtual_testing(static_cast<std::size_t>(days));
-    }
+  if (args.has("days")) {
+    const auto days = args.get_size("days", 0);
+    SRM_EXPECTS(days >= 1, "flag --days expects at least 1 day, got 0");
+    data = days <= data.days() ? data.truncated(days)
+                               : data.with_virtual_testing(days);
   }
   return data;
 }
@@ -109,11 +107,6 @@ mcmc::GibbsOptions parse_gibbs(const Args& args) {
   gibbs.iterations = args.get_size("iterations", 2500);
   gibbs.thin = args.get_size("thin", 1);
   gibbs.seed = static_cast<std::uint64_t>(args.get_int("seed", 20240624));
-  // Every reported number is bit-identical between the streaming and the
-  // stored-trace path, so the CLI defaults to streaming (O(1) memory in the
-  // retained draw count); --keep-traces restores full chain storage.
-  // Commands that consume the raw run (predict, release) force it back on.
-  gibbs.keep_traces = args.has("keep-traces");
   return gibbs;
 }
 
@@ -232,31 +225,20 @@ int run_select(const Args& args, std::ostream& out) {
   for (const auto& entry : core::model_families().families()) {
     for (const auto kind : entry.selection_models) {
       const auto model = core::make_model(entry.kind, kind, data, config);
-      Row row{entry.id, core::to_string(kind), {}, 0.0, {}, 0.0};
-      if (gibbs.keep_traces) {
-        const auto run = mcmc::run_gibbs(*model, gibbs);
-        row.waic = core::compute_waic(*model, run);
-        row.looic = core::compute_psis_loo(*model, run).looic;
-        row.posterior = core::summarize_residual_posterior(run);
-      } else {
-        // Streaming path: score each draw in-scan; PSIS-LOO still needs the
-        // raw pointwise columns for its tail fits, so the scorer keeps the
-        // flat matrix while the traces themselves are never stored.
-        core::StreamingScorer scorer(*model, gibbs.chain_count,
-                                     gibbs.iterations, /*keep_matrix=*/true);
-        core::ResidualAccumulator residual(model->residual_index(),
-                                           gibbs.chain_count,
-                                           gibbs.iterations);
-        const std::array<mcmc::PosteriorAccumulator*, 2> sinks{&scorer,
-                                                               &residual};
-        mcmc::run_gibbs(*model, gibbs, sinks);
-        row.waic = scorer.waic();
-        row.looic =
-            core::compute_psis_loo_from_matrix(scorer.log_likelihood_matrix())
-                .looic;
-        row.posterior = residual.finalize();
-      }
-      rows.push_back(std::move(row));
+      // PSIS-LOO needs the raw pointwise columns for its tail fits, so the
+      // scorer keeps the flat matrix; the draws themselves are never
+      // stored.
+      core::StreamingScorer scorer(*model, gibbs.chain_count,
+                                   gibbs.iterations, /*keep_matrix=*/true);
+      core::ResidualAccumulator residual(model->residual_index(),
+                                         gibbs.chain_count, gibbs.iterations);
+      const std::array<mcmc::PosteriorAccumulator*, 2> sinks{&scorer,
+                                                             &residual};
+      mcmc::run_gibbs(*model, gibbs, sinks);
+      const auto loo =
+          core::compute_psis_loo_from_matrix(scorer.log_likelihood_matrix());
+      rows.push_back({entry.id, core::to_string(kind), scorer.waic(),
+                      loo.looic, residual.finalize(), 0.0});
     }
   }
   // Pseudo-BMA weights over the whole grid (computed in grid order, before
@@ -314,16 +296,13 @@ int run_select(const Args& args, std::ostream& out) {
 
 int run_predict(const Args& args, std::ostream& out) {
   const auto data = load_dataset(args);
-  const auto fit_days =
-      static_cast<std::size_t>(args.get_int("fit-days", 0));
+  const auto fit_days = args.get_size("fit-days", 0);
   SRM_EXPECTS(fit_days >= 1 && fit_days < data.days(),
               "--fit-days must be a strict prefix of the series");
   const auto prior = parse_prior(args);
   const auto model = parse_model(args, prior);
   const auto config = parse_config(args);
-  auto gibbs = parse_gibbs(args);
-  // The holdout scorer walks the raw chains itself.
-  gibbs.keep_traces = true;
+  const auto gibbs = parse_gibbs(args);
   reject_unused(args);
 
   const auto summary = core::fit_and_score_holdout(data, fit_days, prior,
@@ -385,7 +364,7 @@ int run_nhpp(const Args& args, std::ostream& out) {
 
 int run_simulate(const Args& args, std::ostream& out) {
   const auto bugs = args.get_int("bugs", 100);
-  const auto days = static_cast<std::size_t>(args.get_int("days", 50));
+  const auto days = args.get_size("days", 50);
   const auto kind = parse_model_name(args, "model0");
   const auto detector = core::make_detection_model(kind);
 
@@ -428,14 +407,12 @@ int run_release(const Args& args, std::ostream& out) {
   const auto prior = parse_prior(args);
   const auto kind = parse_model(args, prior);
   const auto config = parse_config(args);
-  auto gibbs = parse_gibbs(args);
-  // plan_release resamples from the stored run, so traces are required.
-  gibbs.keep_traces = true;
+  const auto gibbs = parse_gibbs(args);
   core::ReleaseCosts costs;
   costs.cost_per_testing_day = args.get_double("day-cost", 1.0);
   costs.cost_per_residual_bug = args.get_double("bug-cost", 50.0);
-  const auto horizon =
-      static_cast<std::size_t>(args.get_int("horizon", 60));
+  const auto horizon = args.get_size("horizon", 60);
+  SRM_EXPECTS(horizon >= 1, "flag --horizon expects at least 1 day, got 0");
   reject_unused(args);
 
   const auto model = core::make_model(prior, kind, data, config);
@@ -489,7 +466,6 @@ int run_sweep(const Args& args, std::ostream& out) {
   options.gibbs.thin = args.get_size("thin", options.gibbs.thin);
   options.gibbs.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<std::int64_t>(options.gibbs.seed)));
-  if (args.has("keep-traces")) options.gibbs.keep_traces = true;
   options.base_config.lambda_max =
       args.get_double("lambda-max", options.base_config.lambda_max);
   options.base_config.alpha_max =
@@ -613,8 +589,6 @@ std::string usage() {
       "  --model " + model_names_joined() +
       ", --chains, --burn-in, --iterations, --seed,\n"
       "  --thin N        keep every N-th retained scan (default 1)\n"
-      "  --keep-traces   store full chains instead of streaming accumulators\n"
-      "                  (identical output; only memory use differs)\n"
       "  --lambda-max, --alpha-max, --theta-max, --jeffreys,\n"
       "  --threads N  worker threads for chains/sweeps/scoring\n"
       "               (0 = all hardware threads; SRM_THREADS env also works;\n"

@@ -466,11 +466,6 @@ std::vector<double> BayesianSrm::pointwise_log_likelihood(
   return terms;
 }
 
-bool BayesianSrm::is_scan_workspace(
-    const mcmc::GibbsWorkspace& workspace) const {
-  return dynamic_cast<const Workspace*>(&workspace) != nullptr;
-}
-
 void BayesianSrm::pointwise_row(std::span<const double> state,
                                 mcmc::GibbsWorkspace& workspace,
                                 std::span<double> out) const {
@@ -480,9 +475,7 @@ void BayesianSrm::pointwise_row(std::span<const double> state,
   SRM_EXPECTS(state.size() == state_size(), "state vector has wrong size");
   SRM_EXPECTS(out.size() >= data_.days(),
               "pointwise output needs one slot per testing day");
-  // One batch probability fill into the workspace buffer. Streaming scoring
-  // and stored-trace replay both score through this exact call, so the two
-  // pipeline modes agree bit for bit.
+  // One batch probability fill into the workspace buffer.
   model_->probabilities_into(data_.days(), state.subspan(zeta_offset()),
                              ws->probabilities);
   const std::int64_t n = initial_bugs_of(state);

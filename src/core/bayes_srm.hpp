@@ -99,8 +99,6 @@ class BayesianSrm final : public SrmModel {
   [[nodiscard]] const HyperPriorConfig& config() const override {
     return config_;
   }
-  [[nodiscard]] bool is_scan_workspace(
-      const mcmc::GibbsWorkspace& workspace) const override;
   void pointwise_row(std::span<const double> state,
                      mcmc::GibbsWorkspace& workspace,
                      std::span<double> out) const override;

@@ -1,12 +1,10 @@
 #include "core/fit.hpp"
 
-#include <array>
 #include <string>
 #include <vector>
 
 #include "core/streaming.hpp"
 #include "diagnostics/online.hpp"
-#include "mcmc/accumulator.hpp"
 #include "support/error.hpp"
 
 namespace srm::core {
@@ -35,8 +33,9 @@ FitRequest single_cell_request(const ExperimentSpec& spec,
   return request;
 }
 
-ObservationResult fit_cell(const data::BugCountData& base,
-                           const FitRequest& request) {
+ObservationResult fit_cell(
+    const data::BugCountData& base, const FitRequest& request,
+    std::span<mcmc::PosteriorAccumulator* const> observers) {
   SRM_EXPECTS(request.observation_day >= 1, "observation day must be >= 1");
   const auto observed = dataset_at_observation(base, request.observation_day);
 
@@ -44,45 +43,28 @@ ObservationResult fit_cell(const data::BugCountData& base,
       make_model(request.prior, request.model, observed, request.config);
   const SrmModel& model = *model_ptr;
 
-  // Every per-parameter statistic and the residual summary come from these
-  // accumulators in both modes; with keep_traces the draws are stored and
-  // replayed through them, without it they are fed in-scan. Same sinks,
-  // same per-chain order => bit-identical results.
+  // Every reported number comes from these sinks, fed in-scan; the scorer
+  // reads each draw's fresh workspace buffers, so no draw is stored.
+  StreamingScorer scorer(model, request.gibbs.chain_count,
+                         request.gibbs.iterations);
   diagnostics::ParameterStatsAccumulator stats(model.state_size(),
                                                request.gibbs.chain_count,
                                                request.gibbs.iterations);
   ResidualAccumulator residual(model.residual_index(),
                                request.gibbs.chain_count,
                                request.gibbs.iterations);
+  std::vector<mcmc::PosteriorAccumulator*> sinks{&scorer, &stats, &residual};
+  sinks.insert(sinks.end(), observers.begin(), observers.end());
+  mcmc::run_gibbs(model, request.gibbs, sinks);
 
   ObservationResult result;
   result.observation_day = request.observation_day;
   result.detected_so_far = observed.total();
   result.actual_residual = request.eventual_total - observed.total();
-
-  std::vector<std::string> names;
-  if (request.gibbs.keep_traces) {
-    // Stored-trace mode: sample, then replay the traces through the sinks
-    // and score the pointwise matrix (the memory-heavy comparator path).
-    const auto run = mcmc::run_gibbs(model, request.gibbs);
-    names = run.parameter_names();
-    const std::array<mcmc::PosteriorAccumulator*, 2> sinks{&stats, &residual};
-    mcmc::replay(run, sinks);
-    result.waic = compute_waic(model, run);
-  } else {
-    // Streaming mode: the scorer consumes each draw's fresh workspace
-    // buffers in-scan; no traces, no pointwise matrix, no second
-    // likelihood pass.
-    StreamingScorer scorer(model, request.gibbs.chain_count,
-                           request.gibbs.iterations);
-    const std::array<mcmc::PosteriorAccumulator*, 3> sinks{&scorer, &stats,
-                                                           &residual};
-    const auto run = mcmc::run_gibbs(model, request.gibbs, sinks);
-    names = run.parameter_names();
-    result.waic = scorer.waic();
-  }
+  result.waic = scorer.waic();
   result.posterior = residual.finalize();
 
+  const auto names = model.parameter_names();
   for (std::size_t p = 0; p < names.size(); ++p) {
     const auto online = stats.parameter(p);
     ParameterDiagnostics diag;

@@ -1,6 +1,5 @@
 // The single-cell fit API — one (dataset, prior, model, config, Gibbs
-// settings, observation day) posterior, computed in streaming or
-// stored-trace mode.
+// settings, observation day) posterior, scored in-scan by streaming sinks.
 //
 // This is the one code path every frontend shares: the CLI `fit` command,
 // every cell of the 2x5x9 evaluation sweep (report/sweep.cpp via
@@ -12,9 +11,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "core/experiment.hpp"
 #include "data/bug_count_data.hpp"
+#include "mcmc/accumulator.hpp"
 
 namespace srm::core {
 
@@ -44,9 +45,11 @@ struct FitRequest {
 /// Fits the requested SRM on `base` seen at the request's observation day
 /// (truncate + zero-pad, Section 5.1) and returns the residual-bug
 /// posterior, WAIC and per-parameter convergence diagnostics. Deterministic
-/// given the request: bit-identical for any worker count, with or without
-/// keep_traces.
-ObservationResult fit_cell(const data::BugCountData& base,
-                           const FitRequest& request);
+/// given the request: bit-identical for any worker count. `observers` are
+/// fed every retained draw after the cell's own sinks — an McmcRun there
+/// records the draws the result was computed from.
+ObservationResult fit_cell(
+    const data::BugCountData& base, const FitRequest& request,
+    std::span<mcmc::PosteriorAccumulator* const> observers = {});
 
 }  // namespace srm::core

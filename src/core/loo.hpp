@@ -14,8 +14,6 @@
 
 #include <vector>
 
-#include "core/model_family.hpp"
-#include "mcmc/trace.hpp"
 #include "support/matrix.hpp"
 
 namespace srm::core {
@@ -35,13 +33,8 @@ struct LooResult {
 /// The k-hat reliability threshold of Vehtari et al.
 inline constexpr double kParetoKThreshold = 0.7;
 
-/// Computes PSIS-LOO for `model` from the retained samples in `run`.
-LooResult compute_psis_loo(const SrmModel& model, const mcmc::McmcRun& run);
-
-/// PSIS-LOO from a pre-built pointwise log-likelihood matrix (rows = data
-/// points, columns = draws) — the entry point the streaming pipeline uses
-/// with StreamingScorer::log_likelihood_matrix(), bit-identical to the
-/// stored-trace overload above.
+/// PSIS-LOO from a pointwise log-likelihood matrix (rows = data points,
+/// columns = draws), as retained by a keep_matrix StreamingScorer.
 LooResult compute_psis_loo_from_matrix(const support::Matrix& log_lik);
 
 /// Pareto-smooths a vector of raw log importance ratios in place and

@@ -112,18 +112,10 @@ class SrmModel : public mcmc::GibbsModel {
   /// the fitted window for holdout scoring and release planning.
   [[nodiscard]] virtual const DetectionModel& detection_model() const = 0;
 
-  /// True when `workspace` came from this model's make_workspace() — i.e.
-  /// pointwise_row may consume it. Streaming sinks receive whatever
-  /// workspace the sampler ran with and fall back to their own per-chain
-  /// workspace when this says no.
-  [[nodiscard]] virtual bool is_scan_workspace(
-      const mcmc::GibbsWorkspace& workspace) const = 0;
-
   /// Fills out[i-1] = log P(X_i = x_i | state) for day i = 1..data().days()
-  /// — the WAIC/LOO ingredient. `workspace` must satisfy
-  /// is_scan_workspace(); the fill is allocation-free and bit-identical for
-  /// any workspace history (streaming scoring and stored-trace replay score
-  /// through this same call).
+  /// — the WAIC/LOO ingredient. `workspace` must come from this model's
+  /// make_workspace(); the fill is allocation-free and bit-identical for
+  /// any workspace history.
   virtual void pointwise_row(std::span<const double> state,
                              mcmc::GibbsWorkspace& workspace,
                              std::span<double> out) const = 0;

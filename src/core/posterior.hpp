@@ -29,8 +29,9 @@ struct ResidualPosterior {
 };
 
 /// Summarizes pooled residual draws (chain 0's draws first, matching
-/// McmcRun::pooled). The streaming ResidualAccumulator and the stored-trace
-/// path both funnel through this, so their summaries are bit-identical.
+/// McmcRun::pooled). The streaming ResidualAccumulator and
+/// summarize_residual_posterior both funnel through this, so their
+/// summaries of the same draws are bit-identical.
 ResidualPosterior summarize_residual_samples(std::span<const double> pooled);
 
 /// Extracts the "residual" parameter from `run` and summarizes it.

@@ -3,19 +3,14 @@
 // The Gibbs driver feeds every retained draw to these accumulators at the
 // moment it is emitted; the pointwise log-likelihood row is one batch
 // probability fill into the reused workspace buffer, scored in place — no
-// trace is stored and the store-then-rescore second likelihood pass
-// disappears entirely. (Burn-in and thinned-away scans pay nothing:
-// scoring happens per retained draw, not per scan.)
-//
-// Bit-identity: the stored-trace path (compute_waic over the pointwise
-// matrix, summarize_residual_posterior over pooled traces) funnels through
-// these same accumulators / summary helpers with the same per-chain feed
-// order, so both modes produce identical bits for all schemes, priors and
-// detection models.
+// trace is stored and no second likelihood pass runs. (Burn-in and
+// thinned-away scans pay nothing: scoring happens per retained draw, not
+// per scan.) The residual summary finalizes through the same helper the
+// trace-based summarize_residual_posterior uses, over the same
+// chain-ordered draws, so a run recorded alongside agrees bit for bit.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -53,11 +48,11 @@ class WaicAccumulator {
 
 /// PosteriorAccumulator that scores every retained draw in-scan: evaluates
 /// the pointwise log-likelihood row through the model's type-erased
-/// pointwise_row channel (falling back to a model-made workspace when the
-/// sampler's workspace is not the model's own scan type, e.g. stored-trace
-/// replay) and streams it into a WaicAccumulator. With
-/// `keep_matrix` it additionally retains the flat k x S matrix PSIS-LOO's
-/// tail fits need, laid out exactly like pointwise_log_likelihood_matrix.
+/// pointwise_row channel, into the workspace the sampler ran with (which
+/// must come from this model's make_workspace()), and streams it into a
+/// WaicAccumulator. With `keep_matrix` it additionally retains the flat
+/// k x S matrix PSIS-LOO's tail fits need: rows are data points, column
+/// chain * draws_per_chain + draw.
 class StreamingScorer final : public mcmc::PosteriorAccumulator {
  public:
   StreamingScorer(const SrmModel& model, std::size_t chain_count,
@@ -80,7 +75,6 @@ class StreamingScorer final : public mcmc::PosteriorAccumulator {
   support::Matrix matrix_;  ///< k x (chains * draws) when keep_matrix
   struct ChainSlot {
     std::vector<double> row;  ///< pointwise scratch, one slot per data point
-    std::unique_ptr<mcmc::GibbsWorkspace> fallback;  ///< lazy, replay only
     std::size_t draws = 0;
   };
   std::vector<ChainSlot> chains_;
@@ -88,8 +82,8 @@ class StreamingScorer final : public mcmc::PosteriorAccumulator {
 
 /// PosteriorAccumulator for the residual-bug posterior: buffers each
 /// chain's residual draws (pre-allocated — the "bounded reservoir sized by
-/// the retention policy") and finalizes through the exact stored-trace
-/// summary helper over the chain-ordered concatenation.
+/// the retention policy") and finalizes through the trace-based summary
+/// helper over the chain-ordered concatenation.
 class ResidualAccumulator final : public mcmc::PosteriorAccumulator {
  public:
   ResidualAccumulator(std::size_t residual_index, std::size_t chain_count,

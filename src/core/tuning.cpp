@@ -1,7 +1,9 @@
 #include "core/tuning.hpp"
 
 #include <limits>
+#include <span>
 
+#include "core/streaming.hpp"
 #include "support/error.hpp"
 
 namespace srm::core {
@@ -51,8 +53,10 @@ TuningResult tune_hyperparameters(const data::BugCountData& observed,
       config.limits.theta_max = theta_max;
 
       const auto srm = make_model(prior, model, observed, config);
-      const auto run = mcmc::run_gibbs(*srm, gibbs);
-      const auto waic = compute_waic(*srm, run);
+      StreamingScorer scorer(*srm, gibbs.chain_count, gibbs.iterations);
+      mcmc::PosteriorAccumulator* const sink = &scorer;
+      mcmc::run_gibbs(*srm, gibbs, std::span(&sink, 1));
+      const auto waic = scorer.waic();
       result.evaluated.push_back({config, waic});
       if (waic.waic < best) {
         best = waic.waic;

@@ -8,11 +8,11 @@
 //   V_k  = sum_i Var_omega[log p(x_i | omega)]  (functional variance)
 //
 // Smaller is better. The expectations over omega are computed from the
-// retained Gibbs samples.
+// retained Gibbs samples by core::WaicAccumulator, fed in-scan by
+// core::StreamingScorer (core/streaming.hpp).
 #pragma once
 
-#include "core/model_family.hpp"
-#include "mcmc/trace.hpp"
+#include <cstddef>
 
 namespace srm::core {
 
@@ -30,9 +30,5 @@ struct WaicResult {
   std::size_t data_points = 0;      ///< k
   std::size_t samples = 0;          ///< posterior draws used
 };
-
-/// Computes WAIC for `model` from the retained samples in `run` (which must
-/// have been produced by sampling that same model).
-WaicResult compute_waic(const SrmModel& model, const mcmc::McmcRun& run);
 
 }  // namespace srm::core

@@ -6,6 +6,7 @@
 
 #include "stats/summary.hpp"
 #include "support/error.hpp"
+#include "support/format.hpp"
 
 namespace srm::diagnostics {
 
@@ -30,18 +31,21 @@ GewekeResult geweke(std::span<const double> chain, double first_fraction,
                   first_fraction + last_fraction < 1.0,
               "geweke window fractions must be positive and sum below 1");
   const std::size_t n = chain.size();
-  SRM_EXPECTS(n >= 20, "geweke requires at least 20 samples");
-
   const auto n_a = static_cast<std::size_t>(
       std::floor(first_fraction * static_cast<double>(n)));
   const auto n_b = static_cast<std::size_t>(
       std::floor(last_fraction * static_cast<double>(n)));
+  SRM_EXPECTS(n_a >= kGewekeMinWindow && n_b >= kGewekeMinWindow,
+              "geweke needs >= 4 draws per window (at least 40 samples at "
+              "the default 0.1/0.5 fractions), got " +
+                  support::dec(n) + " samples");
   return geweke_from_windows(chain.subspan(0, n_a), chain.subspan(n - n_b, n_b));
 }
 
 GewekeResult geweke_from_windows(std::span<const double> first,
                                  std::span<const double> last) {
-  SRM_ASSERT(first.size() >= 4 && last.size() >= 4,
+  SRM_ASSERT(first.size() >= kGewekeMinWindow &&
+                 last.size() >= kGewekeMinWindow,
              "geweke windows too small");
 
   GewekeResult result;

@@ -5,6 +5,7 @@
 // matching coda/JAGS. |Z| < 1.96 is taken as evidence of stationarity.
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 namespace srm::diagnostics {
@@ -17,13 +18,19 @@ struct GewekeResult {
   double last_variance = 0.0;
 };
 
+/// Draws each Geweke window must hold for its spectral variance.
+inline constexpr std::size_t kGewekeMinWindow = 4;
+
 /// `first_fraction` / `last_fraction` follow Geweke's defaults (0.1, 0.5).
+/// Both windows must hold kGewekeMinWindow draws: 40 samples at the
+/// defaults. Throws InvalidArgument otherwise.
 GewekeResult geweke(std::span<const double> chain,
                     double first_fraction = 0.1, double last_fraction = 0.5);
 
-/// The statistic from pre-extracted windows (>= 4 samples each). geweke()
-/// delegates here after slicing the chain; the streaming accumulator feeds
-/// the same windows it collected online, so both paths are bit-identical.
+/// The statistic from pre-extracted windows (>= kGewekeMinWindow samples
+/// each). geweke() delegates here after slicing the chain; the streaming
+/// accumulator feeds the same windows it collected online, so both paths
+/// are bit-identical.
 GewekeResult geweke_from_windows(std::span<const double> first,
                                  std::span<const double> last);
 

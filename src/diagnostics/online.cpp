@@ -7,6 +7,7 @@
 
 #include "diagnostics/geweke.hpp"
 #include "support/error.hpp"
+#include "support/format.hpp"
 
 namespace srm::diagnostics {
 
@@ -30,18 +31,22 @@ ParameterStatsAccumulator::ParameterStatsAccumulator(
     shard.head.reserve(window);
     shard.ring.assign(ring_mask_ + 1, 0.0);
   }
-  if (draws_per_chain_ >= 20) {
-    // Same window arithmetic as geweke()'s defaults (0.1, 0.5).
-    geweke_first_n_ = static_cast<std::size_t>(
-        std::floor(0.1 * static_cast<double>(draws_per_chain_)));
-    geweke_last_n_ = static_cast<std::size_t>(
-        std::floor(0.5 * static_cast<double>(draws_per_chain_)));
-    geweke_first_.resize(parameter_count_);
-    geweke_last_.resize(parameter_count_);
-    for (std::size_t p = 0; p < parameter_count_; ++p) {
-      geweke_first_[p].reserve(geweke_first_n_);
-      geweke_last_[p].reserve(geweke_last_n_);
-    }
+  // Same window arithmetic as geweke()'s defaults (0.1, 0.5), checked
+  // here so a short request fails before any sampling.
+  geweke_first_n_ = static_cast<std::size_t>(
+      std::floor(0.1 * static_cast<double>(draws_per_chain_)));
+  geweke_last_n_ = static_cast<std::size_t>(
+      std::floor(0.5 * static_cast<double>(draws_per_chain_)));
+  SRM_EXPECTS(geweke_first_n_ >= kGewekeMinWindow &&
+                  geweke_last_n_ >= kGewekeMinWindow,
+              "Geweke diagnostics need at least 40 retained draws per "
+              "chain, got " +
+                  support::dec(draws_per_chain_));
+  geweke_first_.resize(parameter_count_);
+  geweke_last_.resize(parameter_count_);
+  for (std::size_t p = 0; p < parameter_count_; ++p) {
+    geweke_first_[p].reserve(geweke_first_n_);
+    geweke_last_[p].reserve(geweke_last_n_);
   }
 }
 
@@ -92,7 +97,7 @@ void ParameterStatsAccumulator::accumulate(std::size_t chain,
   for (std::size_t p = 0; p < parameter_count_; ++p) {
     add_value(shards_[p * chain_count_ + chain], state[p]);
   }
-  if (chain == 0 && !geweke_first_.empty()) {
+  if (chain == 0) {
     const bool in_first = t < geweke_first_n_;
     const bool in_last = t >= draws_per_chain_ - geweke_last_n_;
     if (in_first || in_last) {
@@ -219,7 +224,6 @@ OnlineParameterStats ParameterStatsAccumulator::parameter(
     out.psrf = 1.0;  // single chain: PSRF undefined, report neutral
   }
 
-  SRM_EXPECTS(!geweke_first_.empty(), "geweke requires at least 20 samples");
   out.geweke_z = geweke_from_windows(geweke_first_[p], geweke_last_[p]).z;
 
   out.ess = pooled_ess(p, out.posterior_mean);

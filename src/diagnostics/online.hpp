@@ -4,10 +4,8 @@
 // posterior mean, Gelman-Rubin PSRF, chain-0 Geweke Z, and pooled ESS —
 // without the chains ever being stored.
 //
-// Replication guarantees (streaming and stored-trace replay both feed
-// this same accumulator, so the two modes are bit-identical by
-// construction; the notes below are about matching the *trace-based*
-// diagnostics functions):
+// Replication guarantees against the *trace-based* diagnostics functions
+// run over an McmcRun recorded from the same draws:
 //   * PSRF executes exactly the gelman_rubin() arithmetic: per-chain
 //     Welford variances and plain-sum means, combined in chain order.
 //   * Geweke collects the same first/last chain-0 windows the trace path
@@ -33,8 +31,7 @@
 
 namespace srm::diagnostics {
 
-/// Finalized per-parameter diagnostics, mirroring what run_observation
-/// derives from a stored trace.
+/// Finalized per-parameter diagnostics, as run_observation reports them.
 struct OnlineParameterStats {
   double posterior_mean = 0.0;
   double psrf = 0.0;      ///< 1.0 (neutral) for single-chain runs
@@ -51,7 +48,8 @@ class ParameterStatsAccumulator final : public mcmc::PosteriorAccumulator {
   /// GibbsOptions::iterations (every chain retains exactly that many
   /// draws), which fixes the Geweke window boundaries and the ESS lag
   /// window. All per-draw buffers are allocated here — accumulate() is
-  /// allocation-free.
+  /// allocation-free. Throws InvalidArgument below 40 draws per chain,
+  /// where a Geweke window would hold fewer than kGewekeMinWindow draws.
   ParameterStatsAccumulator(std::size_t parameter_count,
                             std::size_t chain_count,
                             std::size_t draws_per_chain);

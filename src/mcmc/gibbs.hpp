@@ -13,12 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "mcmc/accumulator.hpp"
 #include "mcmc/trace.hpp"
 #include "random/rng.hpp"
 
 namespace srm::mcmc {
-
-class PosteriorAccumulator;
 
 /// Opaque per-chain scratch storage a model may request from the driver.
 ///
@@ -73,19 +72,18 @@ struct GibbsOptions {
   std::size_t thin = 1;          ///< keep every thin-th scan
   std::uint64_t seed = 20240624; ///< master seed; chains derive substreams
   bool parallel_chains = true;   ///< schedule chains on the runtime pool
-  bool keep_traces = true;       ///< store retained draws in the McmcRun;
-                                 ///< off, only streaming sinks see them and
-                                 ///< the run's chains come back empty
 };
 
-/// Runs the sampler. Every retained draw is appended to the returned
-/// traces (when `options.keep_traces` is on) and fed to each sink in
-/// `sinks` in order, from the chain's own thread, with that chain's
+/// Runs the sampler and feeds every retained draw to each sink in
+/// `sinks`, in order, from the chain's own thread, with that chain's
 /// workspace — see PosteriorAccumulator for the threading contract.
-/// Sampling order and retained values are independent of `sinks` and of
-/// `keep_traces`; with `keep_traces` off the returned run has the right
-/// chain/parameter shape but zero stored samples.
-McmcRun run_gibbs(const GibbsModel& model, const GibbsOptions& options,
-                  std::span<PosteriorAccumulator* const> sinks = {});
+/// Sampling order and retained values are independent of `sinks`; no draw
+/// is stored unless a sink stores it.
+void run_gibbs(const GibbsModel& model, const GibbsOptions& options,
+               std::span<PosteriorAccumulator* const> sinks);
+
+/// Runs the sampler with an McmcRun as the only sink and returns it:
+/// every retained draw, per chain, in emission order.
+McmcRun run_gibbs(const GibbsModel& model, const GibbsOptions& options);
 
 }  // namespace srm::mcmc

@@ -26,11 +26,18 @@ std::span<const double> ChainTrace::parameter(std::size_t index) const {
 }
 
 McmcRun::McmcRun(std::vector<std::string> parameter_names,
-                 std::size_t chain_count)
+                 std::size_t chain_count, std::size_t draws_per_chain)
     : names_(std::move(parameter_names)) {
   SRM_EXPECTS(!names_.empty(), "McmcRun requires at least one parameter");
   SRM_EXPECTS(chain_count >= 1, "McmcRun requires at least one chain");
   chains_.assign(chain_count, ChainTrace(names_.size()));
+  for (auto& chain : chains_) chain.reserve(draws_per_chain);
+}
+
+void McmcRun::accumulate(std::size_t chain, std::span<const double> state,
+                         GibbsWorkspace* /*workspace*/) {
+  SRM_EXPECTS(chain < chains_.size(), "chain index out of range");
+  chains_[chain].append(state);
 }
 
 std::size_t McmcRun::parameter_index(const std::string& name) const {

@@ -1,11 +1,13 @@
 // Storage for MCMC output: named parameter traces per chain, plus pooled
-// views. The convergence diagnostics and the WAIC computation both consume
-// this type.
+// views. McmcRun is the posterior sink that records draws; the trace-based
+// diagnostics, holdout scoring and release planning consume it.
 #pragma once
 
 #include <span>
 #include <string>
 #include <vector>
+
+#include "mcmc/accumulator.hpp"
 
 namespace srm::mcmc {
 
@@ -32,10 +34,17 @@ class ChainTrace {
   std::vector<std::vector<double>> samples_;
 };
 
-/// A complete multi-chain MCMC run.
-class McmcRun {
+/// A complete multi-chain MCMC run, filled as a posterior sink: every
+/// draw it is fed is appended to its chain's trace.
+class McmcRun final : public PosteriorAccumulator {
  public:
-  McmcRun(std::vector<std::string> parameter_names, std::size_t chain_count);
+  /// `draws_per_chain` is reserved up front in every chain, so recording
+  /// that many draws never reallocates.
+  McmcRun(std::vector<std::string> parameter_names, std::size_t chain_count,
+          std::size_t draws_per_chain = 0);
+
+  void accumulate(std::size_t chain, std::span<const double> state,
+                  GibbsWorkspace* workspace) override;
 
   [[nodiscard]] const std::vector<std::string>& parameter_names() const {
     return names_;
@@ -43,7 +52,6 @@ class McmcRun {
   [[nodiscard]] std::size_t parameter_index(const std::string& name) const;
 
   [[nodiscard]] std::size_t chain_count() const { return chains_.size(); }
-  [[nodiscard]] ChainTrace& chain(std::size_t c) { return chains_.at(c); }
   [[nodiscard]] const ChainTrace& chain(std::size_t c) const {
     return chains_.at(c);
   }

@@ -145,9 +145,6 @@ SweepOptions paper_sweep_options() {
   options.gibbs.burn_in = 500;
   options.gibbs.iterations = 2500;
   options.gibbs.seed = 20240624;
-  // The sweep only consumes streamed summaries, so cells run in O(1)
-  // memory; scoring and diagnostics are bit-identical either way.
-  options.gibbs.keep_traces = false;
   // Upper limits in the neighbourhood the paper's WAIC tuning lands on;
   // bench/ablation_hyperparams sweeps them explicitly.
   options.base_config.lambda_max = 2000.0;

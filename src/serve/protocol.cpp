@@ -76,10 +76,6 @@ data::BugCountData parse_project(const Json& value) {
 
 mcmc::GibbsOptions parse_gibbs(const Json* value) {
   mcmc::GibbsOptions gibbs;
-  // Serve default: the streaming fit path (no retained traces). The
-  // service forces keep_traces back on for the ops whose scorers walk raw
-  // chains (predict/release); neither flag is part of the cache identity.
-  gibbs.keep_traces = false;
   if (value == nullptr) return gibbs;
   reject_unknown_members(*value, "gibbs",
                          {"chains", "burn_in", "iterations", "thin", "seed"});

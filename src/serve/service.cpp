@@ -36,11 +36,9 @@ Json fit_envelope(const data::BugCountData& project,
 }
 
 Json predict_envelope(const Request& request, const std::string& hash) {
-  auto gibbs = request.fit.gibbs;
-  gibbs.keep_traces = true;  // the holdout scorer walks the raw chains
   const auto summary = core::fit_and_score_holdout(
       request.project, request.fit_days, request.fit.prior, request.fit.model,
-      request.fit.config, gibbs);
+      request.fit.config, request.fit.gibbs);
   Json cell = Json::Object{};
   cell.set("schema_version", artifact::kSchemaVersion);
   cell.set("hash", hash);
@@ -50,14 +48,12 @@ Json predict_envelope(const Request& request, const std::string& hash) {
 }
 
 Json release_envelope(const Request& request, const std::string& hash) {
-  auto gibbs = request.fit.gibbs;
-  gibbs.keep_traces = true;  // plan_release resamples from the stored run
   const auto observed = core::dataset_at_observation(
       request.project, request.fit.observation_day);
   const auto model =
       core::make_model(request.fit.prior, request.fit.model, observed,
                        request.fit.config);
-  const auto run = mcmc::run_gibbs(*model, gibbs);
+  const auto run = mcmc::run_gibbs(*model, request.fit.gibbs);
   const auto plan = core::plan_release(*model, run, request.horizon,
                                        request.costs);
   Json cell = Json::Object{};

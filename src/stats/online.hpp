@@ -1,8 +1,8 @@
 // Single-pass (online) accumulators used by the streaming posterior
 // pipeline: Welford moments and a running log-sum-exp. Both support a
 // deterministic shard merge so per-chain partials can be combined in
-// chain order, which is what keeps the streaming and stored-trace paths
-// bit-identical regardless of how many worker threads fed the shards.
+// chain order, which keeps the streamed statistics bit-identical
+// regardless of how many worker threads fed the shards.
 #pragma once
 
 #include <cstddef>

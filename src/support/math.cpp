@@ -46,13 +46,23 @@ const std::array<double, kFactorialTableSize>& log_factorial_table() {
   return table;
 }
 
+// Iteration cap of the incomplete-gamma series and continued fraction.
+// Near x ~ a the series needs about 8 sqrt(a) terms (106 at a = 137,
+// 2462 at a = 1e5) and the continued fraction's need grows like sqrt(a)
+// too, so a fixed cap fails large-a calls that converge fine.
+int gamma_iteration_cap(double a) {
+  return 1000 +
+         static_cast<int>(std::min(std::floor(10.0 * std::sqrt(a)), 1e9));
+}
+
 // Lower incomplete gamma by series: P(a,x) = x^a e^-x / Gamma(a) *
 // sum_{n>=0} x^n / (a(a+1)...(a+n)).
 double gamma_p_series(double a, double x) {
   double ap = a;
   double sum = 1.0 / a;
   double del = sum;
-  for (int n = 0; n < 1000; ++n) {
+  const int cap = gamma_iteration_cap(a);
+  for (int n = 0; n < cap; ++n) {
     ap += 1.0;
     del *= x / ap;
     sum += del;
@@ -70,7 +80,8 @@ double gamma_q_continued_fraction(double a, double x) {
   double c = 1.0 / kFpMin;
   double d = 1.0 / b;
   double h = d;
-  for (int i = 1; i <= 1000; ++i) {
+  const int cap = gamma_iteration_cap(a);
+  for (int i = 1; i <= cap; ++i) {
     const double an = -i * (i - a);
     b += 2.0;
     d = an * d + b;
@@ -205,7 +216,8 @@ double log_regularized_gamma_p(double a, double x) {
   double term = 1.0;
   double rest = 0.0;
   double ap = a;
-  for (int n = 0; n < 1000; ++n) {
+  const int cap = gamma_iteration_cap(a);
+  for (int n = 0; n < cap; ++n) {
     ap += 1.0;
     term *= x / ap;
     rest += term;

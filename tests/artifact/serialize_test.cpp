@@ -185,7 +185,6 @@ TEST(ArtifactSerialize, GibbsOptionsRoundTripIncludingFullRangeSeed) {
   gibbs.iterations = 2222;
   gibbs.thin = 5;
   gibbs.parallel_chains = false;
-  gibbs.keep_traces = true;
   for (const auto seed :
        {std::uint64_t{0}, std::uint64_t{20240624},
         std::numeric_limits<std::uint64_t>::max()}) {
@@ -198,7 +197,6 @@ TEST(ArtifactSerialize, GibbsOptionsRoundTripIncludingFullRangeSeed) {
     EXPECT_EQ(back.thin, gibbs.thin);
     EXPECT_EQ(back.seed, seed);
     EXPECT_EQ(back.parallel_chains, gibbs.parallel_chains);
-    EXPECT_EQ(back.keep_traces, gibbs.keep_traces);
   }
 }
 

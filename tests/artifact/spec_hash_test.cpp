@@ -62,10 +62,6 @@ TEST(SpecHash, ExecutionOnlyGibbsFieldsAreExcluded) {
   auto flipped = spec;
   flipped.gibbs.parallel_chains = !spec.gibbs.parallel_chains;
   EXPECT_EQ(artifact::cell_hash(toy(), flipped, 5), reference);
-
-  flipped = spec;
-  flipped.gibbs.keep_traces = !spec.gibbs.keep_traces;
-  EXPECT_EQ(artifact::cell_hash(toy(), flipped, 5), reference);
 }
 
 TEST(SpecHash, ResultDeterminingFieldsAreCovered) {

@@ -39,7 +39,6 @@ report::SweepOptions toy_options() {
   options.gibbs.burn_in = 10;
   options.gibbs.iterations = 60;
   options.gibbs.seed = 99;
-  options.gibbs.keep_traces = false;
   return options;
 }
 
@@ -220,6 +219,48 @@ TEST(ArtifactStore, RejectsResumeWithDifferentConfiguration) {
   execution_only.gibbs.parallel_chains = !options.gibbs.parallel_chains;
   artifact::ArtifactStore ok(dir, data, execution_only, true);
   EXPECT_EQ(ok.hash(), artifact::sweep_hash(data, options));
+  fs::remove_all(dir);
+}
+
+TEST(ArtifactStore, ManifestWithTraceRetentionMemberLoadsAndResumes) {
+  // Manifests written while Gibbs options still had a trace-retention
+  // switch carry it in options.gibbs. It never changed a result, so such a
+  // directory still loads and resumes, and the rewritten manifest drops it.
+  const auto dir = scratch("retention_member");
+  const auto data = toy();
+  const auto options = toy_options();
+  {
+    artifact::ArtifactStore store(dir, data, options, /*resume=*/false);
+    store.set_max_fresh_cells(7);
+    report::SweepExecution exec;
+    report::run_sweep(data, options, &store, &exec);
+    store.record_run(exec);
+  }
+  Json manifest = Json::parse(slurp(dir / "manifest.json"));
+  Json options_json = manifest.at("options");
+  Json gibbs = options_json.at("gibbs");
+  gibbs.set("keep_traces", false);
+  options_json.set("gibbs", std::move(gibbs));
+  manifest.set("options", std::move(options_json));
+  std::ofstream(dir / "manifest.json") << manifest.dump(2);
+
+  const auto loaded = artifact::sweep_options_from_json(
+      Json::parse(slurp(dir / "manifest.json")).at("options"));
+  EXPECT_EQ(artifact::to_json(loaded).dump(),
+            artifact::to_json(options).dump());
+  EXPECT_EQ(artifact::sweep_hash(data, loaded),
+            manifest.at("sweep_hash").as_string());
+
+  artifact::ArtifactStore store(dir, data, options, /*resume=*/true);
+  EXPECT_EQ(store.cells_preexisting(), 7u);
+  report::SweepExecution exec;
+  const auto sweep = report::run_sweep(data, options, &store, &exec);
+  EXPECT_TRUE(exec.complete());
+  EXPECT_EQ(exec.cells_reused, 7u);
+  EXPECT_EQ(exec.cells_computed, 13u);
+  store.finalize(sweep);
+  const Json rewritten = Json::parse(slurp(dir / "manifest.json"));
+  EXPECT_EQ(rewritten.at("options").at("gibbs").find("keep_traces"), nullptr);
   fs::remove_all(dir);
 }
 

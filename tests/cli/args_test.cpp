@@ -44,13 +44,13 @@ TEST(Args, GetSizeRejectsNegativeValues) {
   EXPECT_THROW((void)args.get_size("threads", 0), srm::InvalidArgument);
 }
 
-TEST(Args, KeepTracesIsABooleanSwitch) {
-  const auto with = Args::parse({"--keep-traces", "--chains", "4"});
-  EXPECT_TRUE(with.has("keep-traces"));
+TEST(Args, SwitchBeforeAFlagTakesNoValue) {
+  const auto with = Args::parse({"--jeffreys", "--chains", "4"});
+  EXPECT_TRUE(with.has("jeffreys"));
   EXPECT_EQ(with.get_size("chains", 2), 4u);
   EXPECT_TRUE(with.unused().empty());
   const auto without = Args::parse({"--chains", "4"});
-  EXPECT_FALSE(without.has("keep-traces"));
+  EXPECT_FALSE(without.has("jeffreys"));
 }
 
 TEST(Args, ThinParsesAsPositiveCount) {

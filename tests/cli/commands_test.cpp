@@ -37,23 +37,6 @@ TEST(Cli, FitOnEmbeddedDataset) {
   EXPECT_NE(result.out.find("PSRF"), std::string::npos);
 }
 
-TEST(Cli, FitOutputIdenticalWithAndWithoutKeepTraces) {
-  // The streaming pipeline's bit-identity contract, end to end: fit's
-  // default streaming mode and --keep-traces must render byte-identical
-  // reports.
-  const std::vector<std::string> base{"--csv",  "sys1",       "--days",
-                                      "48",     "--model",    "model1",
-                                      "--iterations", "400",  "--burn-in",
-                                      "100"};
-  auto with = base;
-  with.push_back("--keep-traces");
-  const auto streamed = run("fit", base);
-  const auto stored = run("fit", with);
-  EXPECT_EQ(streamed.code, 0) << streamed.err;
-  EXPECT_EQ(stored.code, 0) << stored.err;
-  EXPECT_EQ(streamed.out, stored.out);
-}
-
 TEST(Cli, ThinReducesRetainedDraws) {
   // --thin N keeps every Nth scan; the report still renders (and differs
   // from the unthinned chain, since the retained draws differ).
@@ -226,12 +209,62 @@ TEST(Cli, UnknownFlagFails) {
        {"--csv", "sys1", "--days", "20", "--burn-in", "5", "--iterations",
         "20", "--chain-lanes"},
        "chain-lanes"},
+      // Draws are stored only by attaching a run as a sink; the retention
+      // switch is gone from every command that had it.
+      {"fit",
+       {"--csv", "sys1", "--days", "20", "--burn-in", "5", "--iterations",
+        "20", "--keep-traces"},
+       "keep-traces"},
+      {"select",
+       {"--csv", "sys1", "--days", "20", "--burn-in", "5", "--iterations",
+        "20", "--keep-traces"},
+       "keep-traces"},
+      {"sweep",
+       {"--csv", "sys1", "--obs-days", "20", "--burn-in", "5",
+        "--iterations", "20", "--keep-traces"},
+       "keep-traces"},
   };
   for (const auto& c : cases) {
     const auto result = run(c.command, c.flags);
     EXPECT_EQ(result.code, 2) << c.unknown;
     EXPECT_NE(result.err.find(c.unknown), std::string::npos) << result.err;
   }
+}
+
+TEST(Cli, NegativeCountFlagsExitTwo) {
+  // Count flags are read as non-negative sizes: a negative value is an
+  // error naming the flag, never a wrapped-around size_t. A zero --days or
+  // --horizon is refused the same way, before any sampling.
+  struct Case {
+    std::string command;
+    std::vector<std::string> flags;
+    std::string flag;
+  };
+  const std::vector<Case> cases = {
+      {"release", {"--csv", "sys1", "--horizon", "-1"}, "--horizon"},
+      {"release", {"--csv", "sys1", "--horizon", "0"}, "--horizon"},
+      {"simulate", {"--days", "-1", "--mu", "0.1"}, "--days"},
+      {"fit", {"--csv", "sys1", "--days", "-3"}, "--days"},
+      {"fit", {"--csv", "sys1", "--days", "0"}, "--days"},
+      {"predict", {"--csv", "sys1", "--fit-days", "-1"}, "--fit-days"},
+  };
+  for (const auto& c : cases) {
+    const auto result = run(c.command, c.flags);
+    EXPECT_EQ(result.code, 2) << c.command << " " << c.flag;
+    EXPECT_NE(result.err.find(c.flag), std::string::npos) << result.err;
+  }
+}
+
+TEST(Cli, FitRejectsChainsTooShortForGeweke) {
+  // Geweke's 10% window needs 4 draws, so a fit needs 40 retained draws
+  // per chain; a shorter request is refused as a user error naming that
+  // minimum.
+  const auto result =
+      run("fit", {"--csv", "sys1", "--iterations", "30", "--burn-in", "5"});
+  EXPECT_EQ(result.code, 2) << result.out;
+  EXPECT_NE(result.err.find("40"), std::string::npos) << result.err;
+  EXPECT_EQ(result.err.find("internal invariant"), std::string::npos)
+      << result.err;
 }
 
 TEST(Cli, MissingCsvFails) {

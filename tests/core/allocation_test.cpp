@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -192,22 +193,22 @@ TEST(ZeroAllocationKernel, StreamingAccumulatorPathIsAllocationFree) {
 }
 
 TEST(ZeroAllocationKernel, ReservedTraceRetentionDoesNotReallocate) {
-  // ChainTrace::reserve sizes every parameter vector for the full
-  // retention up front, so the append loop performs zero allocations —
-  // no per-draw reallocation churn while chains are being stored.
+  // An McmcRun reserves every chain's parameter vectors for the full
+  // retention up front, so recording draws as a sink performs zero
+  // allocations — no per-draw reallocation churn while chains are stored.
   constexpr std::size_t kParams = 6;
   constexpr std::size_t kDraws = 500;
-  srm::mcmc::ChainTrace trace(kParams);
-  trace.reserve(kDraws);
+  srm::mcmc::McmcRun run(std::vector<std::string>(kParams, "p"), 2, kDraws);
   const std::vector<double> state(kParams, 1.5);
   g_allocation_count.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
   for (std::size_t i = 0; i < kDraws; ++i) {
-    trace.append(state);
+    run.accumulate(0, state, nullptr);
+    run.accumulate(1, state, nullptr);
   }
   g_counting.store(false, std::memory_order_relaxed);
   EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), 0u);
-  EXPECT_EQ(trace.sample_count(), kDraws);
+  EXPECT_EQ(run.total_samples(), 2 * kDraws);
 }
 
 /// The counter itself must work, or the zero expectations above are

@@ -1,8 +1,12 @@
 // Tests for the virtual-testing experiment driver (Section 5.1 protocol).
 #include "core/experiment.hpp"
 
+#include <cmath>
+#include <utility>
+
 #include <gtest/gtest.h>
 
+#include "core/fit.hpp"
 #include "support/error.hpp"
 
 namespace {
@@ -104,6 +108,32 @@ TEST(RunExperiment, ZeroPaddingShrinksResidualPosterior) {
             results[1].posterior.summary.mean);
   EXPECT_GE(results[1].posterior.summary.mean,
             results[2].posterior.summary.mean);
+}
+
+TEST(FitCell, HundredThousandBugSeriesFits) {
+  // A 1e5-bug total puts the hyperparameter conditionals' incomplete-gamma
+  // calls near a ~ 1e5, where the series needs ~2500 terms.
+  const BugCountData big("big", {50000, 30000, 20000});
+  for (const auto& [prior, model] :
+       {std::pair{core::PriorKind::kPoisson,
+                  core::DetectionModelKind::kConstant},
+        std::pair{core::PriorKind::kSizeBiased,
+                  core::DetectionModelKind::kSizeBiasedMultinomial}}) {
+    core::FitRequest request;
+    request.prior = prior;
+    request.model = model;
+    request.config.lambda_max = 4e5;
+    request.gibbs.chain_count = 2;
+    request.gibbs.burn_in = 20;
+    request.gibbs.iterations = 40;
+    request.gibbs.seed = 7;
+    request.observation_day = big.days();
+    request.eventual_total = big.total();
+    const auto result = core::fit_cell(big, request);
+    EXPECT_TRUE(std::isfinite(result.posterior.summary.mean))
+        << core::to_string(prior);
+    EXPECT_TRUE(std::isfinite(result.waic.waic)) << core::to_string(prior);
+  }
 }
 
 }  // namespace

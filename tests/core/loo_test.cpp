@@ -2,13 +2,14 @@
 #include "core/loo.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/bayes_srm.hpp"
-#include "core/waic.hpp"
+#include "core/streaming.hpp"
 #include "data/bug_count_data.hpp"
 #include "mcmc/gibbs.hpp"
 #include "support/error.hpp"
@@ -20,13 +21,24 @@ using srm::data::BugCountData;
 
 BugCountData data() { return BugCountData("t", {3, 2, 2, 1, 2, 0, 1, 1}); }
 
-srm::mcmc::McmcRun fit(const core::BayesianSrm& model) {
+struct Scores {
+  core::WaicResult waic;
+  core::LooResult loo;
+};
+
+// Samples `model` with a matrix-keeping scorer attached.
+Scores fit(const core::BayesianSrm& model) {
   srm::mcmc::GibbsOptions gibbs;
   gibbs.chain_count = 2;
   gibbs.burn_in = 300;
   gibbs.iterations = 2000;
   gibbs.seed = 99;
-  return srm::mcmc::run_gibbs(model, gibbs);
+  core::StreamingScorer scorer(model, gibbs.chain_count, gibbs.iterations,
+                               /*keep_matrix=*/true);
+  const std::array<srm::mcmc::PosteriorAccumulator*, 1> sinks{&scorer};
+  srm::mcmc::run_gibbs(model, gibbs, sinks);
+  return {scorer.waic(),
+          core::compute_psis_loo_from_matrix(scorer.log_likelihood_matrix())};
 }
 
 TEST(PsisLoo, AgreesWithWaicOnWellBehavedFit) {
@@ -35,17 +47,14 @@ TEST(PsisLoo, AgreesWithWaicOnWellBehavedFit) {
   // within a few units.
   const core::BayesianSrm model(core::PriorKind::kPoisson,
                                 core::DetectionModelKind::kConstant, data());
-  const auto run = fit(model);
-  const auto waic = core::compute_waic(model, run);
-  const auto loo = core::compute_psis_loo(model, run);
+  const auto [waic, loo] = fit(model);
   EXPECT_NEAR(loo.looic, waic.waic, 0.1 * waic.waic + 3.0);
 }
 
 TEST(PsisLoo, PointwiseSumsToTotal) {
   const core::BayesianSrm model(core::PriorKind::kPoisson,
                                 core::DetectionModelKind::kConstant, data());
-  const auto run = fit(model);
-  const auto loo = core::compute_psis_loo(model, run);
+  const auto loo = fit(model).loo;
   ASSERT_EQ(loo.pointwise.size(), data().days());
   double sum = 0.0;
   for (const auto& point : loo.pointwise) sum += point.elpd;
@@ -58,8 +67,7 @@ TEST(PsisLoo, ParetoKMostlyBelowThreshold) {
   // reliable importance estimates (k-hat below 0.7) nearly everywhere.
   const core::BayesianSrm model(core::PriorKind::kPoisson,
                                 core::DetectionModelKind::kConstant, data());
-  const auto run = fit(model);
-  const auto loo = core::compute_psis_loo(model, run);
+  const auto loo = fit(model).loo;
   EXPECT_LE(loo.high_k_count, 1u);
 }
 
@@ -69,12 +77,10 @@ TEST(PsisLoo, RanksModelsLikeWaic) {
                                core::DetectionModelKind::kConstant, d);
   const core::BayesianSrm bad(core::PriorKind::kPoisson,
                               core::DetectionModelKind::kPareto, d);
-  const auto run_good = fit(good);
-  const auto run_bad = fit(bad);
-  const double waic_margin = core::compute_waic(bad, run_bad).waic -
-                             core::compute_waic(good, run_good).waic;
-  const double loo_margin = core::compute_psis_loo(bad, run_bad).looic -
-                            core::compute_psis_loo(good, run_good).looic;
+  const auto scores_good = fit(good);
+  const auto scores_bad = fit(bad);
+  const double waic_margin = scores_bad.waic.waic - scores_good.waic.waic;
+  const double loo_margin = scores_bad.loo.looic - scores_good.loo.looic;
   // Same sign of the comparison (when the margin is non-trivial).
   if (std::abs(waic_margin) > 5.0) {
     EXPECT_GT(loo_margin, 0.0);
@@ -84,9 +90,11 @@ TEST(PsisLoo, RanksModelsLikeWaic) {
 TEST(PsisLoo, RequiresEnoughDraws) {
   const core::BayesianSrm model(core::PriorKind::kPoisson,
                                 core::DetectionModelKind::kConstant, data());
-  srm::mcmc::McmcRun tiny(model.parameter_names(), 1);
-  tiny.chain(0).append(std::vector<double>{1.0, 5.0, 0.3});
-  EXPECT_THROW(core::compute_psis_loo(model, tiny), srm::InvalidArgument);
+  core::StreamingScorer tiny(model, 1, 1, /*keep_matrix=*/true);
+  const auto workspace = model.make_workspace();
+  tiny.accumulate(0, std::vector<double>{1.0, 5.0, 0.3}, workspace.get());
+  EXPECT_THROW(core::compute_psis_loo_from_matrix(tiny.log_likelihood_matrix()),
+               srm::InvalidArgument);
 }
 
 TEST(ParetoSmoothing, PreservesOrderAndCapsAtMax) {

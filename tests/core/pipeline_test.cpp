@@ -1,25 +1,23 @@
-// The streaming posterior pipeline's bit-identity contract.
+// The streaming posterior pipeline against the trace-based references.
 //
-// run_observation() has two modes: keep_traces=true stores every retained
-// draw and replays the traces through the accumulators (plus the pointwise
-// matrix WAIC path), keep_traces=false feeds the same accumulators in-scan
-// and never stores a draw. Every reported number — WAIC, PSIS-LOO, PSRF,
-// Geweke, ESS, posterior mean, the full residual summary — must be
-// BIT-identical between the two modes for every sampler scheme, prior and
-// detection model (2 x 2 x 7 = 28 configurations).
-//
-// Where the streamed statistics also reproduce the legacy trace-based
-// helpers exactly (PSRF via the gelman_rubin arithmetic, Geweke via the
-// shared window finalizer, the residual summary via
-// summarize_residual_samples), this suite pins that too.
+// fit_cell() scores every retained draw in-scan through its sinks and
+// never stores a draw. An McmcRun attached as one more sink records the
+// very draws those sinks saw, so every streamed number can be pinned to
+// the trace-based helper run over the recording — PSRF to gelman_rubin(),
+// Geweke to geweke(), the residual summary to
+// summarize_residual_posterior(), WAIC to a fresh scorer walking the
+// recorded draws — bitwise, for every sampler scheme, prior and detection
+// model (2 x 2 x 7 = 28 configurations).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/bayes_srm.hpp"
-#include "core/experiment.hpp"
+#include "core/fit.hpp"
 #include "core/loo.hpp"
 #include "core/posterior.hpp"
 #include "core/streaming.hpp"
@@ -28,7 +26,6 @@
 #include "diagnostics/gelman_rubin.hpp"
 #include "diagnostics/geweke.hpp"
 #include "diagnostics/online.hpp"
-#include "mcmc/accumulator.hpp"
 #include "mcmc/gibbs.hpp"
 #include "stats/summary.hpp"
 
@@ -36,69 +33,88 @@ namespace {
 
 using srm::core::BayesianSrm;
 using srm::core::DetectionModelKind;
-using srm::core::ExperimentSpec;
 using srm::core::ObservationResult;
 using srm::core::PriorKind;
 using srm::core::SamplerScheme;
+using srm::mcmc::McmcRun;
 
 srm::mcmc::GibbsOptions small_gibbs() {
   srm::mcmc::GibbsOptions gibbs;
   gibbs.chain_count = 2;
   gibbs.burn_in = 40;
-  gibbs.iterations = 120;  // >= 25 for LOO, >= 20 per chain for Geweke
+  gibbs.iterations = 120;  // >= 25 for LOO, >= 40 per chain for Geweke
   gibbs.seed = 20240624;
   return gibbs;
 }
 
-ExperimentSpec spec_for(SamplerScheme scheme, PriorKind prior,
-                        DetectionModelKind model) {
-  ExperimentSpec spec;
-  spec.prior = prior;
-  spec.model = model;
-  spec.config.scheme = scheme;
-  spec.gibbs = small_gibbs();
-  spec.eventual_total = srm::data::kSys1TotalBugs;
-  return spec;
+/// Scores the draws recorded in `run` with a scorer of its own: one fresh
+/// workspace per chain, draws in recorded order.
+void score_recorded(const BayesianSrm& model, const McmcRun& run,
+                    srm::core::StreamingScorer& scorer) {
+  std::vector<double> state(model.state_size());
+  for (std::size_t c = 0; c < run.chain_count(); ++c) {
+    const auto workspace = model.make_workspace();
+    const auto& chain = run.chain(c);
+    for (std::size_t s = 0; s < chain.sample_count(); ++s) {
+      for (std::size_t p = 0; p < state.size(); ++p) {
+        state[p] = chain.parameter(p)[s];
+      }
+      scorer.accumulate(c, state, workspace.get());
+    }
+  }
 }
 
-void expect_bitwise_equal(const ObservationResult& stored,
-                          const ObservationResult& streamed,
+void expect_matches_trace(const BayesianSrm& model, const McmcRun& run,
+                          const ObservationResult& result,
                           const std::string& label) {
-  // WAIC, all fields.
-  EXPECT_EQ(stored.waic.waic, streamed.waic.waic) << label;
-  EXPECT_EQ(stored.waic.waic_per_point, streamed.waic.waic_per_point)
+  const auto gibbs = small_gibbs();
+  ASSERT_EQ(run.total_samples(), gibbs.chain_count * gibbs.iterations)
       << label;
-  EXPECT_EQ(stored.waic.learning_loss, streamed.waic.learning_loss) << label;
-  EXPECT_EQ(stored.waic.functional_variance,
-            streamed.waic.functional_variance)
+
+  // WAIC, all fields, against a scorer fed the recorded draws afterwards.
+  srm::core::StreamingScorer rescored(model, gibbs.chain_count,
+                                      gibbs.iterations);
+  score_recorded(model, run, rescored);
+  const auto waic = rescored.waic();
+  EXPECT_EQ(result.waic.waic, waic.waic) << label;
+  EXPECT_EQ(result.waic.waic_per_point, waic.waic_per_point) << label;
+  EXPECT_EQ(result.waic.learning_loss, waic.learning_loss) << label;
+  EXPECT_EQ(result.waic.functional_variance, waic.functional_variance)
       << label;
-  EXPECT_EQ(stored.waic.samples, streamed.waic.samples) << label;
+  EXPECT_EQ(result.waic.samples, waic.samples) << label;
 
   // Residual posterior: summary, box plot, and the raw pooled draws.
-  const auto& a = stored.posterior;
-  const auto& b = streamed.posterior;
-  EXPECT_EQ(a.summary.mean, b.summary.mean) << label;
-  EXPECT_EQ(a.summary.sd, b.summary.sd) << label;
-  EXPECT_EQ(a.summary.median, b.summary.median) << label;
-  EXPECT_EQ(a.summary.mode, b.summary.mode) << label;
-  EXPECT_EQ(a.summary.min, b.summary.min) << label;
-  EXPECT_EQ(a.summary.max, b.summary.max) << label;
-  EXPECT_EQ(a.box.median, b.box.median) << label;
-  EXPECT_EQ(a.box.q1, b.box.q1) << label;
-  EXPECT_EQ(a.box.q3, b.box.q3) << label;
-  EXPECT_EQ(a.samples, b.samples) << label;
+  const auto reference = srm::core::summarize_residual_posterior(run);
+  const auto& streamed = result.posterior;
+  EXPECT_EQ(streamed.summary.mean, reference.summary.mean) << label;
+  EXPECT_EQ(streamed.summary.sd, reference.summary.sd) << label;
+  EXPECT_EQ(streamed.summary.median, reference.summary.median) << label;
+  EXPECT_EQ(streamed.summary.mode, reference.summary.mode) << label;
+  EXPECT_EQ(streamed.summary.min, reference.summary.min) << label;
+  EXPECT_EQ(streamed.summary.max, reference.summary.max) << label;
+  EXPECT_EQ(streamed.box.median, reference.box.median) << label;
+  EXPECT_EQ(streamed.box.q1, reference.box.q1) << label;
+  EXPECT_EQ(streamed.box.q3, reference.box.q3) << label;
+  EXPECT_EQ(streamed.samples, reference.samples) << label;
 
   // Per-parameter diagnostics.
-  ASSERT_EQ(stored.diagnostics.size(), streamed.diagnostics.size()) << label;
-  for (std::size_t p = 0; p < stored.diagnostics.size(); ++p) {
-    const auto& d_a = stored.diagnostics[p];
-    const auto& d_b = streamed.diagnostics[p];
-    EXPECT_EQ(d_a.name, d_b.name) << label;
-    EXPECT_EQ(d_a.posterior_mean, d_b.posterior_mean)
-        << label << " " << d_a.name;
-    EXPECT_EQ(d_a.psrf, d_b.psrf) << label << " " << d_a.name;
-    EXPECT_EQ(d_a.geweke_z, d_b.geweke_z) << label << " " << d_a.name;
-    EXPECT_EQ(d_a.ess, d_b.ess) << label << " " << d_a.name;
+  const auto& names = run.parameter_names();
+  ASSERT_EQ(result.diagnostics.size(), names.size()) << label;
+  for (std::size_t p = 0; p < names.size(); ++p) {
+    const auto& diag = result.diagnostics[p];
+    EXPECT_EQ(diag.name, names[p]) << label;
+    EXPECT_EQ(diag.psrf, srm::diagnostics::gelman_rubin(run, p).psrf)
+        << label << " " << diag.name;
+    EXPECT_EQ(diag.geweke_z,
+              srm::diagnostics::geweke(run.chain(0).parameter(p)).z)
+        << label << " " << diag.name;
+    const double pooled_mean = srm::stats::mean(run.pooled(p));
+    EXPECT_NEAR(diag.posterior_mean, pooled_mean,
+                1e-12 * std::abs(pooled_mean) + 1e-15)
+        << label << " " << diag.name;
+    EXPECT_GE(diag.ess, 1.0) << label << " " << diag.name;
+    EXPECT_LE(diag.ess, static_cast<double>(run.total_samples()))
+        << label << " " << diag.name;
   }
 }
 
@@ -108,20 +124,26 @@ TEST(StreamingPipeline, BitIdenticalToStoredTracesAcrossAll28Configs) {
        {SamplerScheme::kCollapsed, SamplerScheme::kVanilla}) {
     for (const auto prior :
          {PriorKind::kPoisson, PriorKind::kNegativeBinomial}) {
-      for (const auto model : srm::core::all_detection_model_kinds()) {
-        auto spec = spec_for(scheme, prior, model);
+      for (const auto kind : srm::core::all_detection_model_kinds()) {
         const std::string label =
-            std::string(scheme == SamplerScheme::kCollapsed ? "collapsed"
-                                                            : "vanilla") +
-            "/" + srm::core::to_string(prior) + "/" +
-            srm::core::to_string(model);
+            srm::core::to_string(scheme) + "/" +
+            srm::core::to_string(prior) + "/" + srm::core::to_string(kind);
+        srm::core::FitRequest request;
+        request.prior = prior;
+        request.model = kind;
+        request.config.scheme = scheme;
+        request.gibbs = small_gibbs();
+        request.observation_day = data.days();
+        request.eventual_total = srm::data::kSys1TotalBugs;
 
-        spec.gibbs.keep_traces = true;
-        const auto stored = srm::core::run_observation(data, spec, data.days());
-        spec.gibbs.keep_traces = false;
-        const auto streamed =
-            srm::core::run_observation(data, spec, data.days());
-        expect_bitwise_equal(stored, streamed, label);
+        // fit_cell builds this same model from the same inputs.
+        const BayesianSrm model(prior, kind, data, request.config);
+        McmcRun run(model.parameter_names(), request.gibbs.chain_count,
+                    request.gibbs.iterations);
+        srm::mcmc::PosteriorAccumulator* const recorder = &run;
+        const auto result =
+            srm::core::fit_cell(data, request, std::span(&recorder, 1));
+        expect_matches_trace(model, run, result, label);
       }
     }
   }
@@ -139,18 +161,23 @@ TEST(StreamingPipeline, ScorerMatrixReproducesPsisLooBitwise) {
                               config);
       const auto gibbs = small_gibbs();
 
-      const auto run = srm::mcmc::run_gibbs(model, gibbs);
-      const auto stored = srm::core::compute_psis_loo(model, run);
-
       srm::core::StreamingScorer scorer(model, gibbs.chain_count,
                                         gibbs.iterations,
                                         /*keep_matrix=*/true);
-      std::array<srm::mcmc::PosteriorAccumulator*, 1> sinks{&scorer};
-      auto streaming_gibbs = gibbs;
-      streaming_gibbs.keep_traces = false;
-      srm::mcmc::run_gibbs(model, streaming_gibbs, sinks);
-      const auto streamed =
-          srm::core::compute_psis_loo_from_matrix(scorer.log_likelihood_matrix());
+      McmcRun run(model.parameter_names(), gibbs.chain_count,
+                  gibbs.iterations);
+      const std::array<srm::mcmc::PosteriorAccumulator*, 2> sinks{&scorer,
+                                                                  &run};
+      srm::mcmc::run_gibbs(model, gibbs, sinks);
+      const auto streamed = srm::core::compute_psis_loo_from_matrix(
+          scorer.log_likelihood_matrix());
+
+      srm::core::StreamingScorer rescored(model, gibbs.chain_count,
+                                          gibbs.iterations,
+                                          /*keep_matrix=*/true);
+      score_recorded(model, run, rescored);
+      const auto stored = srm::core::compute_psis_loo_from_matrix(
+          rescored.log_likelihood_matrix());
 
       EXPECT_EQ(stored.elpd_loo, streamed.elpd_loo);
       EXPECT_EQ(stored.looic, streamed.looic);
@@ -170,15 +197,16 @@ TEST(StreamingPipeline, AccumulatorReproducesLegacyTraceDiagnostics) {
   const BayesianSrm model(PriorKind::kPoisson, DetectionModelKind::kWeibull,
                           data, {});
   const auto gibbs = small_gibbs();
-  const auto run = srm::mcmc::run_gibbs(model, gibbs);
 
   srm::diagnostics::ParameterStatsAccumulator stats(
       model.state_size(), gibbs.chain_count, gibbs.iterations);
   srm::core::ResidualAccumulator residual(model.residual_index(),
                                           gibbs.chain_count,
                                           gibbs.iterations);
-  std::array<srm::mcmc::PosteriorAccumulator*, 2> sinks{&stats, &residual};
-  srm::mcmc::replay(run, sinks);
+  McmcRun run(model.parameter_names(), gibbs.chain_count, gibbs.iterations);
+  const std::array<srm::mcmc::PosteriorAccumulator*, 3> sinks{
+      &stats, &residual, &run};
+  srm::mcmc::run_gibbs(model, gibbs, sinks);
 
   for (std::size_t p = 0; p < model.state_size(); ++p) {
     const auto online = stats.parameter(p);
@@ -209,20 +237,6 @@ TEST(StreamingPipeline, AccumulatorReproducesLegacyTraceDiagnostics) {
   EXPECT_EQ(stored.samples, streamed.samples);
 }
 
-TEST(StreamingPipeline, KeepTracesOffReturnsShapedButEmptyRun) {
-  const auto data = srm::data::sys1_grouped();
-  const BayesianSrm model(PriorKind::kPoisson, DetectionModelKind::kConstant,
-                          data, {});
-  auto gibbs = small_gibbs();
-  gibbs.iterations = 30;
-  gibbs.burn_in = 10;
-  gibbs.keep_traces = false;
-  const auto run = srm::mcmc::run_gibbs(model, gibbs);
-  EXPECT_EQ(run.chain_count(), gibbs.chain_count);
-  EXPECT_EQ(run.parameter_names().size(), model.state_size());
-  EXPECT_EQ(run.total_samples(), 0u);
-}
-
 TEST(StreamingPipeline, SingleChainEssMatchesLegacyInsideLagWindow) {
   // With one chain and draws_per_chain - 1 <= kMaxEssLag the streamed
   // estimator sees every lag the legacy scan sees; the remaining delta is
@@ -233,17 +247,39 @@ TEST(StreamingPipeline, SingleChainEssMatchesLegacyInsideLagWindow) {
   auto gibbs = small_gibbs();
   gibbs.chain_count = 1;
   gibbs.iterations = 120;
-  const auto run = srm::mcmc::run_gibbs(model, gibbs);
 
   srm::diagnostics::ParameterStatsAccumulator stats(model.state_size(), 1,
                                                     gibbs.iterations);
-  std::array<srm::mcmc::PosteriorAccumulator*, 1> sinks{&stats};
-  srm::mcmc::replay(run, sinks);
+  McmcRun run(model.parameter_names(), 1, gibbs.iterations);
+  const std::array<srm::mcmc::PosteriorAccumulator*, 2> sinks{&stats, &run};
+  srm::mcmc::run_gibbs(model, gibbs, sinks);
   for (std::size_t p = 0; p < model.state_size(); ++p) {
     const double legacy =
         srm::diagnostics::effective_sample_size(run.chain(0).parameter(p));
     const double streamed = stats.parameter(p).ess;
     EXPECT_NEAR(streamed, legacy, 1e-6 * legacy) << run.parameter_names()[p];
+  }
+}
+
+TEST(StreamingPipeline, RecordedRunMatchesTheRecordingOverload) {
+  // run_gibbs(model, options) is the sink overload with an McmcRun as its
+  // only sink: attaching one next to other sinks records the same draws.
+  const auto data = srm::data::sys1_grouped();
+  const BayesianSrm model(PriorKind::kPoisson, DetectionModelKind::kConstant,
+                          data, {});
+  const auto gibbs = small_gibbs();
+  const auto recorded = srm::mcmc::run_gibbs(model, gibbs);
+
+  srm::core::ResidualAccumulator residual(model.residual_index(),
+                                          gibbs.chain_count,
+                                          gibbs.iterations);
+  McmcRun run(model.parameter_names(), gibbs.chain_count, gibbs.iterations);
+  const std::array<srm::mcmc::PosteriorAccumulator*, 2> sinks{&residual,
+                                                              &run};
+  srm::mcmc::run_gibbs(model, gibbs, sinks);
+  ASSERT_EQ(run.chain_count(), recorded.chain_count());
+  for (std::size_t p = 0; p < model.state_size(); ++p) {
+    EXPECT_EQ(run.pooled(p), recorded.pooled(p)) << run.parameter_names()[p];
   }
 }
 

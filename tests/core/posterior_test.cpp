@@ -12,7 +12,7 @@ namespace core = srm::core;
 srm::mcmc::McmcRun run_with_residuals(const std::vector<double>& residuals) {
   srm::mcmc::McmcRun run({"residual", "lambda0"}, 1);
   for (const double r : residuals) {
-    run.chain(0).append(std::vector<double>{r, 10.0});
+    run.accumulate(0, std::vector<double>{r, 10.0}, nullptr);
   }
   return run;
 }

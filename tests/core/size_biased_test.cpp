@@ -93,7 +93,6 @@ TEST(SizeBiased, PointwiseRowMatchesAllocatingHelperBitwise) {
   srm::random::Rng rng(7);
   auto state = model.initial_state(rng);
   const auto workspace = model.make_workspace();
-  ASSERT_TRUE(model.is_scan_workspace(*workspace));
 
   const auto reference = model.pointwise_log_likelihood(state);
   std::vector<double> row(data.days());

@@ -1,6 +1,6 @@
-// Tests for the WAIC computation (Eqs 23-25): the estimator is checked
-// against a direct reimplementation on a hand-built McmcRun, and its scale
-// conventions are pinned down.
+// Tests for the WAIC computation (Eqs 23-25): the streaming scorer is fed
+// hand-picked states and checked against a direct reimplementation, and
+// its scale conventions are pinned down.
 #include "core/waic.hpp"
 
 #include <cmath>
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bayes_srm.hpp"
+#include "core/streaming.hpp"
 #include "data/bug_count_data.hpp"
 #include "support/error.hpp"
 #include "support/math.hpp"
@@ -21,12 +22,13 @@ using srm::data::BugCountData;
 
 BugCountData tiny_data() { return BugCountData("t", {1, 2, 0}); }
 
-// Builds a run holding the given states (single chain).
-srm::mcmc::McmcRun run_with_states(
+// WAIC of the given states, fed to a StreamingScorer as one chain.
+core::WaicResult waic_of_states(
     const BayesianSrm& model, const std::vector<std::vector<double>>& states) {
-  srm::mcmc::McmcRun run(model.parameter_names(), 1);
-  for (const auto& s : states) run.chain(0).append(s);
-  return run;
+  core::StreamingScorer scorer(model, 1, states.size());
+  const auto workspace = model.make_workspace();
+  for (const auto& s : states) scorer.accumulate(0, s, workspace.get());
+  return scorer.waic();
 }
 
 TEST(Waic, MatchesDirectComputation) {
@@ -35,8 +37,7 @@ TEST(Waic, MatchesDirectComputation) {
   // Hand-picked states: [residual, lambda0, mu].
   const std::vector<std::vector<double>> states{
       {2.0, 5.0, 0.3}, {4.0, 6.0, 0.25}, {1.0, 4.0, 0.35}, {3.0, 5.5, 0.28}};
-  const auto run = run_with_states(model, states);
-  const auto result = core::compute_waic(model, run);
+  const auto result = waic_of_states(model, states);
 
   // Direct recomputation.
   const std::size_t k = 3;
@@ -70,8 +71,7 @@ TEST(Waic, IdenticalSamplesHaveZeroFunctionalVariance) {
   const BayesianSrm model(core::PriorKind::kPoisson,
                           core::DetectionModelKind::kConstant, tiny_data());
   const std::vector<double> s{2.0, 5.0, 0.3};
-  const auto run = run_with_states(model, {s, s, s});
-  const auto result = core::compute_waic(model, run);
+  const auto result = waic_of_states(model, {s, s, s});
   EXPECT_NEAR(result.functional_variance, 0.0, 1e-12);
   // Learning loss reduces to the plain negative average log-likelihood.
   const auto terms = model.pointwise_log_likelihood(s);
@@ -86,28 +86,25 @@ TEST(Waic, BetterFitGivesSmallerWaic) {
   const BayesianSrm model(core::PriorKind::kPoisson,
                           core::DetectionModelKind::kConstant, tiny_data());
   const auto good =
-      core::compute_waic(model, run_with_states(model, {{2.0, 5.0, 0.3},
-                                                        {3.0, 5.0, 0.31}}));
+      waic_of_states(model, {{2.0, 5.0, 0.3}, {3.0, 5.0, 0.31}});
   const auto bad =
-      core::compute_waic(model, run_with_states(model, {{2.0, 5.0, 0.95},
-                                                        {3.0, 5.0, 0.94}}));
+      waic_of_states(model, {{2.0, 5.0, 0.95}, {3.0, 5.0, 0.94}});
   EXPECT_LT(good.waic, bad.waic);
 }
 
 TEST(Waic, RequiresAtLeastTwoSamples) {
   const BayesianSrm model(core::PriorKind::kPoisson,
                           core::DetectionModelKind::kConstant, tiny_data());
-  const auto run = run_with_states(model, {{2.0, 5.0, 0.3}});
-  EXPECT_THROW(core::compute_waic(model, run), srm::InvalidArgument);
+  EXPECT_THROW(waic_of_states(model, {{2.0, 5.0, 0.3}}),
+               srm::InvalidArgument);
 }
 
 TEST(Waic, RejectsMismatchedRun) {
   const BayesianSrm model(core::PriorKind::kPoisson,
                           core::DetectionModelKind::kConstant, tiny_data());
-  srm::mcmc::McmcRun wrong({"a", "b", "c", "d"}, 1);
-  wrong.chain(0).append(std::vector<double>{1.0, 2.0, 3.0, 4.0});
-  wrong.chain(0).append(std::vector<double>{1.0, 2.0, 3.0, 4.0});
-  EXPECT_THROW(core::compute_waic(model, wrong), srm::InvalidArgument);
+  // A four-wide draw does not fit the model's [residual, lambda0, mu].
+  const std::vector<double> wrong{1.0, 2.0, 3.0, 4.0};
+  EXPECT_THROW(waic_of_states(model, {wrong, wrong}), srm::InvalidArgument);
 }
 
 }  // namespace

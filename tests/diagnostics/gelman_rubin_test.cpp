@@ -75,10 +75,10 @@ TEST(GelmanRubin, McmcRunOverload) {
   srm::mcmc::McmcRun run({"x"}, 2);
   srm::random::Rng rng(9);
   for (int i = 0; i < 1000; ++i) {
-    run.chain(0).append(
-        std::vector<double>{srm::random::sample_normal(rng)});
-    run.chain(1).append(
-        std::vector<double>{srm::random::sample_normal(rng)});
+    run.accumulate(0, std::vector<double>{srm::random::sample_normal(rng)},
+                   nullptr);
+    run.accumulate(1, std::vector<double>{srm::random::sample_normal(rng)},
+                   nullptr);
   }
   EXPECT_NEAR(gelman_rubin(run, 0).psrf, 1.0, 0.02);
 }

@@ -79,6 +79,10 @@ TEST(Geweke, RejectsBadWindows) {
   EXPECT_THROW(geweke(chain, 0.0, 0.5), srm::InvalidArgument);
   EXPECT_THROW(geweke(chain, 0.6, 0.5), srm::InvalidArgument);
   EXPECT_THROW(geweke(std::vector<double>(10, 1.0)), srm::InvalidArgument);
+  // 30 draws leave the default 10% window 3 draws; 40 is the minimum.
+  EXPECT_THROW(geweke(std::vector<double>(30, 1.0)), srm::InvalidArgument);
+  EXPECT_THROW(geweke(std::vector<double>(39, 1.0)), srm::InvalidArgument);
+  EXPECT_NO_THROW(geweke(std::vector<double>(40, 1.0)));
 }
 
 TEST(SpectralVariance, IidMatchesVarOverN) {

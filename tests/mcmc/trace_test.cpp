@@ -46,9 +46,9 @@ TEST(ChainTrace, ReservePreservesContentsAndCounts) {
 
 TEST(McmcRun, PooledConcatenatesChainsInOrder) {
   McmcRun run({"a", "b"}, 2);
-  run.chain(0).append(std::vector<double>{1.0, 10.0});
-  run.chain(0).append(std::vector<double>{2.0, 20.0});
-  run.chain(1).append(std::vector<double>{3.0, 30.0});
+  run.accumulate(0, std::vector<double>{1.0, 10.0}, nullptr);
+  run.accumulate(0, std::vector<double>{2.0, 20.0}, nullptr);
+  run.accumulate(1, std::vector<double>{3.0, 30.0}, nullptr);
   const auto pooled = run.pooled("a");
   ASSERT_EQ(pooled.size(), 3u);
   EXPECT_DOUBLE_EQ(pooled[0], 1.0);

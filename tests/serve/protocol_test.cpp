@@ -27,8 +27,6 @@ TEST(ServeProtocol, FitDefaultsResolveFromTheProject) {
   EXPECT_EQ(request.fit.eventual_total, sys1.total());
   EXPECT_EQ(request.fit.prior, srm::core::PriorKind::kPoisson);
   EXPECT_EQ(request.fit.model, srm::core::DetectionModelKind::kConstant);
-  // Serve defaults to the streaming fit path.
-  EXPECT_FALSE(request.fit.gibbs.keep_traces);
 }
 
 TEST(ServeProtocol, FitHashIsTheSweepCellHash) {

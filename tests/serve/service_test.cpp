@@ -137,6 +137,20 @@ TEST(ServeService, HostileInputYieldsStructuredErrorsNeverThrows) {
   EXPECT_EQ(service.computed(), 0u);
 }
 
+TEST(ServeService, ShortChainFitIsARequestError) {
+  // 30 retained draws leave Geweke's 10% window 3 draws short of its
+  // minimum: the answer names the 40-draw minimum, not an internal
+  // invariant.
+  auto service = make_service();
+  const auto response = service.handle_line(
+      R"({"op":"fit","project":"sys1",)"
+      R"("gibbs":{"chains":2,"burn_in":5,"iterations":30,"seed":1}})");
+  EXPECT_FALSE(response.ok) << response.line;
+  const auto error = Json::parse(response.line).at("error").as_string();
+  EXPECT_NE(error.find("40"), std::string::npos) << error;
+  EXPECT_EQ(error.find("internal invariant"), std::string::npos) << error;
+}
+
 TEST(ServeService, ErrorResponsesEchoTheRequestId) {
   auto service = make_service();
   const auto response =
@@ -253,7 +267,6 @@ TEST(ServeService, SweepArtifactDirectoryWarmStartsTheService) {
   options.gibbs.burn_in = 10;
   options.gibbs.iterations = 60;
   options.gibbs.seed = 99;
-  options.gibbs.keep_traces = false;
   {
     srm::artifact::ArtifactStore store(dir, toy, options, /*resume=*/false);
     srm::report::SweepExecution execution;

@@ -154,6 +154,31 @@ TEST(RegularizedGammaP, ReferenceValues) {
   EXPECT_NEAR(m::regularized_gamma_p(100.0, 90.0), 0.15822098918643016, 1e-10);
 }
 
+TEST(RegularizedGammaP, LargeShapeNearTheMode) {
+  // Near x ~ a the series needs about 8 sqrt(a) terms (2462 at a = 1e5),
+  // so the iteration caps must grow with a. References computed
+  // independently with mpmath at 50 significant digits.
+  const double a = 1e5;
+  struct Reference {
+    double x;
+    double p;
+    double log_p;
+  };
+  for (const auto& ref : {Reference{a - 300.0, 0.17141731451450292,
+                                    -1.7636542597494873},
+                          Reference{a, 0.50042052211036518,
+                                    -0.69230648981872485},
+                          Reference{a + 300.0, 0.82863631125120765,
+                                    -0.18797392788625588}}) {
+    EXPECT_NEAR(m::regularized_gamma_p(a, ref.x), ref.p, 1e-8 * ref.p)
+        << ref.x;
+    EXPECT_NEAR(m::regularized_gamma_q(a, ref.x), 1.0 - ref.p, 1e-8)
+        << ref.x;
+    EXPECT_NEAR(m::log_regularized_gamma_p(a, ref.x), ref.log_p, 1e-8)
+        << ref.x;
+  }
+}
+
 TEST(RegularizedGammaP, ComplementConsistency) {
   for (const double a : {0.3, 1.0, 4.2, 25.0}) {
     for (const double x : {0.1, 1.0, 5.0, 30.0}) {
