@@ -210,6 +210,9 @@ int run_select(const Args& args, std::ostream& out) {
   SRM_EXPECTS(format == "table" || format == "json",
               "unknown --format '" + format + "' (use table|json)");
   reject_unused(args);
+  // The serve select op runs every grid cell through fit_cell; refuse what
+  // it refuses, before sampling the first cell.
+  core::require_fit_draws(gibbs);
 
   struct Row {
     std::string prior;

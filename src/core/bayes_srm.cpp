@@ -35,6 +35,29 @@ double interior_uniform(random::Rng& rng, double lo, double hi) {
   const double margin = 0.05 * (hi - lo);
   return rng.uniform(lo + margin, hi - margin);
 }
+
+// The collapsed zeta kernel (DESIGN.md, Multimodality). Burn-in scans end
+// with kBoxJumps prior-box proposals; the kernel frozen at the end of
+// burn-in ends with kMixtureJumps proposals from the defensive mixture
+// kMixtureBoxWeight * Uniform(box) + (1 - kMixtureBoxWeight) * N(m, 4 Sigma)
+// in scaled-logit coordinates, keeping the prior-box proposals only where
+// burn-in accepted at least kMinBoxAcceptance of them, and slices each
+// coordinate with kWidthFactor times its mean burn-in move.
+constexpr int kBoxJumps = 5;
+constexpr int kMixtureJumps = 2;
+constexpr double kMixtureBoxWeight = 0.2;
+constexpr double kMixtureScale = 2.0;  // sd multiplier: covariance 4 Sigma
+constexpr double kWidthFactor = 4.0;
+constexpr double kMinBoxAcceptance = 0.01;
+// The fit reads the second half of the burn-in scans, at most the last
+// kRecordRows of them, and needs kMinFitRows.
+constexpr std::size_t kRecordRows = 1024;
+constexpr std::size_t kMinFitRows = 10;
+
+// u = log((z - lo) / (hi - z)), the scaled logit of z in (lo, hi).
+double scaled_logit(double z, const ParameterSupport& support) {
+  return std::log(z - support.lower) - std::log(support.upper - z);
+}
 }  // namespace
 
 BayesianSrm::BayesianSrm(PriorKind prior, DetectionModelKind model_kind,
@@ -65,6 +88,7 @@ BayesianSrm::Workspace::Workspace(const BayesianSrm& model)
     : zeta(model.model_->parameter_count(), 0.0),
       probe(model.model_->parameter_count(), 0.0),
       proposal(model.model_->parameter_count(), 0.0),
+      offset(model.model_->parameter_count(), 0.0),
       probabilities(model.data_.days(), 0.0),
       log_survivals(model.data_.days(), 0.0) {}
 
@@ -359,10 +383,21 @@ double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
                                           Workspace& ws) const {
   auto& zeta = ws.zeta;
   zeta.assign(state.begin() + static_cast<long>(zeta_offset()), state.end());
+  const std::size_t d = zeta.size();
   // Built at a workspace's first collapsed scan: scratch workspaces for
   // initial states and pointwise scoring never need one.
   if (!ws.evaluator) ws.evaluator = make_collapsed_evaluator(*model_, data_);
   auto& evaluator = *ws.evaluator;
+  // This scan's burn-in record row, or none once the kernel is frozen.
+  const bool frozen = ws.kernel_frozen();
+  const std::size_t row_width = 2 * d + 1;
+  if (!frozen && !ws.record) {
+    ws.record =
+        std::make_unique_for_overwrite<double[]>(kRecordRows * row_width);
+  }
+  double* const row =
+      frozen ? nullptr
+             : &ws.record[(ws.recorded_scans % kRecordRows) * row_width];
 
   // Each distinct zeta is evaluated once: `current` holds the sums at the
   // state's zeta, and every accepted move carries its probe's sums along.
@@ -375,7 +410,7 @@ double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
                        : thinned_beta(state[2], std::exp(current.log_survival));
   double current_density = collapsed_density(current, thinned);
 
-  for (std::size_t j = 0; j < zeta.size(); ++j) {
+  for (std::size_t j = 0; j < d; ++j) {
     const auto& support = zeta_supports_[j];
     evaluator.prepare(zeta, j);
     double probed = 0.0;
@@ -389,7 +424,8 @@ double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
     mcmc::SliceOptions options;
     options.lower = support.lower;
     options.upper = support.upper;
-    options.initial_width = (support.upper - support.lower) / 10.0;
+    options.initial_width = frozen ? ws.slice_widths[j]
+                                   : (support.upper - support.lower) / 10.0;
     const double x0 =
         std::clamp(zeta[j], support.lower + 1e-12, support.upper - 1e-12);
     if (!fp::exactly(x0, zeta[j])) {
@@ -402,49 +438,204 @@ double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
     // returns x0, whose sums `current` already holds.
     if (fp::exactly(draw.x, probed)) current = probed_sums;
     current_density = draw.log_density;
+    if (row != nullptr) row[d + j] = std::abs(draw.x - x0);
     zeta[j] = draw.x;
     state[zeta_offset() + j] = draw.x;
   }
 
-  // Mode-jump move: component-wise slice sampling cannot cross between
+  // Mode-jump moves: component-wise slice sampling cannot cross between
   // well-separated posterior modes (model2's (mu, gamma) surface is
   // genuinely multimodal on some datasets) and crawls along ridges (the
   // size-biased channel fits the early days almost equally well anywhere
-  // on shape * log(1 + 1/scale) = const), so finish the scan with an
-  // independence-Metropolis proposal drawn uniformly from the prior box.
-  // The move targets the same collapsed marginal, so correctness is
-  // unaffected; acceptance is rare but sufficient to mix across modes.
-  // Uniform prior => the proposal density cancels in the MH ratio.
-  constexpr int kModeJumpProposals = 5;
+  // on shape * log(1 + 1/scale) = const), so the scan ends with
+  // independence-Metropolis proposals that target the same collapsed
+  // marginal. Each attempt's weight is log pi - log q, so the MH ratio
+  // carries q(x) / q(y); a prior-box proposal's q cancels.
   auto& proposal = ws.proposal;
   CollapsedSums proposed;
-  mcmc::independence_metropolis(
-      rng, kModeJumpProposals, current_density,
+  const auto commit = [&] {
+    zeta = proposal;  // equal sizes: copies in place, no allocation
+    current = proposed;
+    for (std::size_t j = 0; j < d; ++j) state[zeta_offset() + j] = zeta[j];
+  };
+  // Sums and collapsed density at `proposal`; -inf outside the open box.
+  const auto evaluate_proposal = [&] {
+    for (std::size_t j = 0; j < d; ++j) {
+      if (proposal[j] <= zeta_supports_[j].lower ||
+          proposal[j] >= zeta_supports_[j].upper) {
+        return kNegInf;
+      }
+    }
+    proposed = evaluator.evaluate(proposal);
+    return collapsed_density(proposed, thinned);
+  };
+  const auto draw_from_box = [&](random::Rng& proposal_rng) {
+    for (std::size_t j = 0; j < d; ++j) {
+      proposal[j] = proposal_rng.uniform(zeta_supports_[j].lower,
+                                         zeta_supports_[j].upper);
+    }
+  };
+
+  int box_accepted = 0;
+  current_density = mcmc::independence_metropolis(
+      rng, frozen ? ws.box_jumps : kBoxJumps, current_density,
       [&](random::Rng& proposal_rng) {
-        bool inside = true;
-        for (std::size_t j = 0; j < zeta.size(); ++j) {
-          const auto& support = zeta_supports_[j];
-          proposal[j] = proposal_rng.uniform(support.lower, support.upper);
-          inside = inside && proposal[j] > support.lower &&
-                   proposal[j] < support.upper;
-        }
-        if (!inside) return kNegInf;
-        proposed = evaluator.evaluate(proposal);
-        return collapsed_density(proposed, thinned);
+        draw_from_box(proposal_rng);
+        return evaluate_proposal();
       },
       [&] {
-        zeta = proposal;  // equal sizes: copies in place, no allocation
-        current = proposed;
-        for (std::size_t j = 0; j < zeta.size(); ++j) {
-          state[zeta_offset() + j] = zeta[j];
-        }
+        commit();
+        ++box_accepted;
       });
+
+  if (frozen) {
+    // u = m + F z with F the factor of 4 Sigma, mapped back into the box.
+    const auto draw_from_gaussian = [&](random::Rng& proposal_rng) {
+      auto& z = ws.offset;
+      for (std::size_t i = 0; i < d; ++i) {
+        z[i] = random::sample_normal(proposal_rng);
+      }
+      for (std::size_t i = 0; i < d; ++i) {
+        double u = ws.jump_mean[i];
+        for (std::size_t k = 0; k <= i; ++k) {
+          u += ws.jump_factor[i * d + k] * z[k];
+        }
+        const auto& support = zeta_supports_[i];
+        proposal[i] = support.lower +
+                      (support.upper - support.lower) / (1.0 + std::exp(-u));
+      }
+    };
+    mcmc::independence_metropolis(
+        rng, kMixtureJumps,
+        current_density - mixture_log_density(zeta, ws),
+        [&](random::Rng& proposal_rng) {
+          if (proposal_rng.uniform() < kMixtureBoxWeight) {
+            draw_from_box(proposal_rng);
+          } else {
+            draw_from_gaussian(proposal_rng);
+          }
+          const double density = evaluate_proposal();
+          if (density == kNegInf) return kNegInf;
+          return density - mixture_log_density(proposal, ws);
+        },
+        commit);
+  } else {
+    std::copy(zeta.begin(), zeta.end(), row);
+    row[2 * d] = box_accepted;
+    ++ws.recorded_scans;
+  }
 
   const double survival = std::exp(current.log_survival);
   if (!poisson_content_) {
     state[2] = unthinned_beta(thinned, survival);
   }
   return survival;
+}
+
+double BayesianSrm::mixture_log_density(std::span<const double> zeta,
+                                        Workspace& ws) const {
+  // The Gaussian component's density in zeta is its density in u times
+  // the Jacobian prod_j (hi_j - lo_j) / ((z_j - lo_j)(hi_j - z_j)); the
+  // constant factors are in jump_log_gauss. Forward substitution turns
+  // u - m into the standard-normal offset in place.
+  const std::size_t d = zeta.size();
+  auto& z = ws.offset;
+  double log_gauss = ws.jump_log_gauss;
+  for (std::size_t i = 0; i < d; ++i) {
+    const auto& support = zeta_supports_[i];
+    const double log_below = std::log(zeta[i] - support.lower);
+    const double log_above = std::log(support.upper - zeta[i]);
+    log_gauss -= log_below + log_above;
+    double r = log_below - log_above - ws.jump_mean[i];
+    for (std::size_t k = 0; k < i; ++k) r -= ws.jump_factor[i * d + k] * z[k];
+    z[i] = r / ws.jump_factor[i * d + i];
+    log_gauss -= 0.5 * z[i] * z[i];
+  }
+  return math::log_sum_exp(ws.jump_log_box, log_gauss);
+}
+
+void BayesianSrm::end_burn_in(mcmc::GibbsWorkspace* workspace) const {
+  auto* ws = dynamic_cast<Workspace*>(workspace);
+  if (ws == nullptr || !ws->record || ws->kernel_frozen()) return;
+  const std::size_t d = zeta_supports_.size();
+  const std::size_t width = 2 * d + 1;
+  const std::size_t scans = ws->recorded_scans;
+  const std::size_t rows = std::min(scans - scans / 2, kRecordRows);
+  if (rows < kMinFitRows) return;
+  const auto row_of = [&](std::size_t r) {
+    return ws->record.get() + ((scans - rows + r) % kRecordRows) * width;
+  };
+
+  // Means of u, |delta zeta| and the box acceptances over the rows.
+  std::vector<double> mean(d, 0.0);
+  std::vector<double> moves(d, 0.0);
+  double box_accepted = 0.0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* row = row_of(r);
+    for (std::size_t j = 0; j < d; ++j) {
+      mean[j] += scaled_logit(row[j], zeta_supports_[j]);
+      moves[j] += row[d + j];
+    }
+    box_accepted += row[2 * d];
+  }
+  const auto n = static_cast<double>(rows);
+  for (std::size_t j = 0; j < d; ++j) {
+    mean[j] /= n;
+    moves[j] /= n;
+  }
+  // Covariance of u, then the Cholesky factor of 4 Sigma; a pivot that is
+  // not positive means the burn-in cannot support the Gaussian.
+  std::vector<double> factor(d * d, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* row = row_of(r);
+    for (std::size_t i = 0; i < d; ++i) {
+      const double ui = scaled_logit(row[i], zeta_supports_[i]) - mean[i];
+      for (std::size_t k = 0; k <= i; ++k) {
+        factor[i * d + k] +=
+            ui * (scaled_logit(row[k], zeta_supports_[k]) - mean[k]);
+      }
+    }
+  }
+  const double scale = kMixtureScale * kMixtureScale / (n - 1.0);
+  for (auto& entry : factor) entry *= scale;
+  for (std::size_t i = 0; i < d; ++i) {
+    for (std::size_t k = 0; k <= i; ++k) {
+      double sum = factor[i * d + k];
+      for (std::size_t m = 0; m < k; ++m) {
+        sum -= factor[i * d + m] * factor[k * d + m];
+      }
+      if (k < i) {
+        factor[i * d + k] = sum / factor[k * d + k];
+      } else if (sum > 0.0 && std::isfinite(sum)) {
+        factor[i * d + i] = std::sqrt(sum);
+      } else {
+        return;
+      }
+    }
+  }
+  // A coordinate whose slice moves never moved cannot size its width.
+  for (std::size_t j = 0; j < d; ++j) {
+    if (!(moves[j] > 0.0)) return;
+  }
+
+  constexpr double kLog2Pi = 1.8378770664093453;
+  double log_gauss = std::log1p(-kMixtureBoxWeight) -
+                     0.5 * static_cast<double>(d) * kLog2Pi;
+  double log_box = std::log(kMixtureBoxWeight);
+  for (std::size_t j = 0; j < d; ++j) {
+    const double log_width =
+        std::log(zeta_supports_[j].upper - zeta_supports_[j].lower);
+    log_gauss += log_width - std::log(factor[j * d + j]);
+    log_box -= log_width;
+    moves[j] *= kWidthFactor;
+  }
+  ws->jump_mean = std::move(mean);
+  ws->jump_factor = std::move(factor);
+  ws->jump_log_gauss = log_gauss;
+  ws->jump_log_box = log_box;
+  ws->box_jumps =
+      box_accepted >= kMinBoxAcceptance * kBoxJumps * n ? kBoxJumps : 0;
+  ws->slice_widths = std::move(moves);
 }
 
 std::int64_t BayesianSrm::initial_bugs_of(

@@ -52,23 +52,47 @@ class BayesianSrm final : public SrmModel {
               data::BugCountData data, HyperPriorConfig config = {});
 
   /// Per-chain scratch buffers for a full Gibbs scan, sized once from
-  /// days() and parameter_count(). Threading one of these through update()
-  /// makes steady-state sampling allocation-free; the buffers carry no
+  /// days() and parameter_count(), plus the collapsed scan's burn-in record
+  /// and, once end_burn_in() fits it, the chain's frozen zeta kernel.
+  /// Threading one of these through update() makes steady-state sampling
+  /// allocation-free. Until the kernel is frozen the workspace carries no
   /// sampler state, so draws are bit-identical with or without one.
   class Workspace final : public mcmc::GibbsWorkspace {
    public:
     explicit Workspace(const BayesianSrm& model);
+
+    /// True once end_burn_in() froze the post-burn-in kernel here.
+    [[nodiscard]] bool kernel_frozen() const { return !slice_widths.empty(); }
 
    private:
     friend class BayesianSrm;
     std::vector<double> zeta;           ///< zeta block under update
     std::vector<double> probe;          ///< zeta with one coordinate probed
     std::vector<double> proposal;       ///< mode-jump candidate
+    std::vector<double> offset;         ///< mixture-jump normal draw
     std::vector<double> probabilities;  ///< p_1..p_k channel
     std::vector<double> log_survivals;  ///< log q_1..log q_k channel
     /// Data sums of the collapsed zeta-density, prepared per coordinate;
     /// built by the first collapsed scan.
     std::unique_ptr<CollapsedEvaluator> evaluator;
+
+    /// Burn-in record of the collapsed scan, allocated by its first scan:
+    /// one row per scan for the last 1 024 scans, each holding zeta after
+    /// the scan, every slice move's |delta zeta_j| and the count of
+    /// accepted prior-box jumps.
+    std::unique_ptr<double[]> record;
+    std::size_t recorded_scans = 0;
+
+    /// The frozen kernel; every vector stays empty until end_burn_in().
+    std::vector<double> slice_widths;  ///< per zeta coordinate
+    /// Mixture jump: Gaussian mean m and lower Cholesky factor of 4 Sigma
+    /// (row-major) in scaled-logit coordinates, and the log constants of
+    /// both mixture components' densities in zeta.
+    std::vector<double> jump_mean;
+    std::vector<double> jump_factor;
+    double jump_log_gauss = 0.0;
+    double jump_log_box = 0.0;
+    int box_jumps = 0;  ///< prior-box jumps kept per frozen scan
   };
 
   // --- mcmc::GibbsModel -------------------------------------------------
@@ -80,6 +104,12 @@ class BayesianSrm final : public SrmModel {
   void update(std::vector<double>& state, random::Rng& rng,
               mcmc::GibbsWorkspace* workspace) const override;
   using mcmc::GibbsModel::update;
+  /// Collapsed scheme: fits the post-burn-in zeta kernel from the second
+  /// half of the burn-in the workspace recorded and freezes it there
+  /// (DESIGN.md, Multimodality). Leaves the burn-in kernel in place when
+  /// that half holds fewer than 10 scans or its scaled-logit covariance is
+  /// not positive definite; a no-op for the vanilla scheme.
+  void end_burn_in(mcmc::GibbsWorkspace* workspace) const override;
 
   // --- core::SrmModel ----------------------------------------------------
   [[nodiscard]] PriorKind family() const override { return prior_; }
@@ -141,10 +171,15 @@ class BayesianSrm final : public SrmModel {
                                         double survival) const;
   /// Collapsed zeta block through the workspace's evaluator; returns
   /// Q = prod q_i at the accepted zeta. The NB prior holds its thinned
-  /// beta' fixed through the block, mapping beta0 out and back.
+  /// beta' fixed through the block, mapping beta0 out and back. Runs the
+  /// workspace's frozen kernel once there is one, and records the scan
+  /// for end_burn_in() until then.
   [[nodiscard]] double update_zeta_collapsed(std::vector<double>& state,
                                              random::Rng& rng,
                                              Workspace& workspace) const;
+  /// log q(zeta) of the frozen mixture-jump proposal density.
+  [[nodiscard]] double mixture_log_density(std::span<const double> zeta,
+                                           Workspace& workspace) const;
   /// Collapsed marginal log-density of zeta from base(zeta) and
   /// log Q = sum_i log q_i: lambda0 integrated out (Poisson), or at fixed
   /// (alpha0, beta' = `thinned`) (NB).

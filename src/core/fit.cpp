@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/streaming.hpp"
+#include "diagnostics/geweke.hpp"
 #include "diagnostics/online.hpp"
 #include "support/error.hpp"
 
@@ -31,6 +32,10 @@ FitRequest single_cell_request(const ExperimentSpec& spec,
   request.observation_day = observation_day;
   request.eventual_total = spec.eventual_total;
   return request;
+}
+
+void require_fit_draws(const mcmc::GibbsOptions& gibbs) {
+  diagnostics::require_geweke_draws(gibbs.iterations);
 }
 
 ObservationResult fit_cell(

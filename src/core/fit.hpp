@@ -42,6 +42,12 @@ struct FitRequest {
 [[nodiscard]] FitRequest single_cell_request(const ExperimentSpec& spec,
                                              std::size_t observation_day);
 
+/// Throws InvalidArgument unless `gibbs` retains the 40 draws per chain a
+/// fit's Geweke diagnostics need (diagnostics::require_geweke_draws).
+/// fit_cell refuses such requests before sampling; a frontend that scores
+/// cells through its own sinks calls this so it refuses the same ones.
+void require_fit_draws(const mcmc::GibbsOptions& gibbs);
+
 /// Fits the requested SRM on `base` seen at the request's observation day
 /// (truncate + zero-pad, Section 5.1) and returns the residual-bug
 /// posterior, WAIC and per-parameter convergence diagnostics. Deterministic

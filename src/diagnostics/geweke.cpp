@@ -25,6 +25,17 @@ double spectral_variance_of_mean(std::span<const double> values) {
   return std::max(s0, 0.0) / n;
 }
 
+void require_geweke_draws(std::size_t draws_per_chain) {
+  const auto first_n = static_cast<std::size_t>(
+      std::floor(0.1 * static_cast<double>(draws_per_chain)));
+  const auto last_n = static_cast<std::size_t>(
+      std::floor(0.5 * static_cast<double>(draws_per_chain)));
+  SRM_EXPECTS(first_n >= kGewekeMinWindow && last_n >= kGewekeMinWindow,
+              "Geweke diagnostics need at least 40 retained draws per "
+              "chain, got " +
+                  support::dec(draws_per_chain));
+}
+
 GewekeResult geweke(std::span<const double> chain, double first_fraction,
                     double last_fraction) {
   SRM_EXPECTS(first_fraction > 0.0 && last_fraction > 0.0 &&

@@ -21,6 +21,12 @@ struct GewekeResult {
 /// Draws each Geweke window must hold for its spectral variance.
 inline constexpr std::size_t kGewekeMinWindow = 4;
 
+/// Throws InvalidArgument unless a chain retaining `draws_per_chain` draws
+/// fills both default windows with kGewekeMinWindow draws: 40 draws. The
+/// one check behind every diagnosed fit's minimum, which the streaming
+/// accumulator and the CLI select grid both run before any sampling.
+void require_geweke_draws(std::size_t draws_per_chain);
+
 /// `first_fraction` / `last_fraction` follow Geweke's defaults (0.1, 0.5).
 /// Both windows must hold kGewekeMinWindow draws: 40 samples at the
 /// defaults. Throws InvalidArgument otherwise.

@@ -33,15 +33,11 @@ ParameterStatsAccumulator::ParameterStatsAccumulator(
   }
   // Same window arithmetic as geweke()'s defaults (0.1, 0.5), checked
   // here so a short request fails before any sampling.
+  require_geweke_draws(draws_per_chain_);
   geweke_first_n_ = static_cast<std::size_t>(
       std::floor(0.1 * static_cast<double>(draws_per_chain_)));
   geweke_last_n_ = static_cast<std::size_t>(
       std::floor(0.5 * static_cast<double>(draws_per_chain_)));
-  SRM_EXPECTS(geweke_first_n_ >= kGewekeMinWindow &&
-                  geweke_last_n_ >= kGewekeMinWindow,
-              "Geweke diagnostics need at least 40 retained draws per "
-              "chain, got " +
-                  support::dec(draws_per_chain_));
   geweke_first_.resize(parameter_count_);
   geweke_last_.resize(parameter_count_);
   for (std::size_t p = 0; p < parameter_count_; ++p) {

@@ -18,6 +18,7 @@ void run_one_chain(const GibbsModel& model, const GibbsOptions& options,
   for (std::size_t i = 0; i < options.burn_in; ++i) {
     model.update(state, rng, workspace.get());
   }
+  model.end_burn_in(workspace.get());
   for (std::size_t i = 0; i < options.iterations; ++i) {
     for (std::size_t t = 0; t < options.thin; ++t) {
       model.update(state, rng, workspace.get());

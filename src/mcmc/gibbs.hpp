@@ -19,14 +19,18 @@
 
 namespace srm::mcmc {
 
-/// Opaque per-chain scratch storage a model may request from the driver.
+/// Opaque per-chain storage a model may request from the driver: scratch
+/// buffers, plus the chain's frozen post-burn-in kernel.
 ///
 /// The driver creates one workspace per chain (chains run concurrently on
-/// the shared pool against a single const model, so scratch cannot live in
-/// the model itself) and passes it back into every update() call on that
-/// chain. Models that buffer per-scan temporaries here run allocation-free
-/// in steady state. The workspace only caches buffers — it carries no
-/// sampler state, so its contents never affect the sampled values.
+/// the shared pool against a single const model, so per-chain state cannot
+/// live in the model itself) and passes it back into every update() call
+/// on that chain. Models that buffer per-scan temporaries here run
+/// allocation-free in steady state. Until end_burn_in() is called on it a
+/// workspace only caches buffers and burn-in statistics, so its contents
+/// never affect the sampled values. end_burn_in() may freeze a tuned kernel
+/// into it; every later update() through that workspace runs the frozen
+/// kernel, which is fixed, so the retained draws form a valid chain.
 class GibbsWorkspace {
  public:
   virtual ~GibbsWorkspace() = default;
@@ -53,10 +57,17 @@ class GibbsModel {
   }
 
   /// One full Gibbs scan updating `state` in place. `workspace` is either
-  /// nullptr or the result of this model's make_workspace(); updates must
+  /// nullptr or the result of this model's make_workspace(); until
+  /// end_burn_in() freezes a kernel into the workspace, updates must
   /// produce bit-identical draws either way.
   virtual void update(std::vector<double>& state, random::Rng& rng,
                       GibbsWorkspace* workspace) const = 0;
+
+  /// Called once per chain by run_gibbs where burn-in ends, with the
+  /// chain's workspace (nullptr when make_workspace() returned none). A
+  /// model may freeze a post-burn-in kernel tuned from what its burn-in
+  /// scans recorded in the workspace; the default keeps the burn-in kernel.
+  virtual void end_burn_in(GibbsWorkspace* /*workspace*/) const {}
 
   /// Convenience scan without a reusable workspace (tests, one-off scans).
   /// Derived classes re-expose it with `using GibbsModel::update;`.

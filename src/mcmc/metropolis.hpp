@@ -20,29 +20,33 @@ inline bool metropolis_accept(random::Rng& rng, double log_ratio) {
   return std::log(rng.uniform_open()) < log_ratio;
 }
 
-/// Runs `attempts` independence-Metropolis moves against a target whose
-/// proposal density cancels in the MH ratio (e.g. uniform-box proposals
-/// under a uniform prior).
+/// Runs `attempts` independence-Metropolis moves with proposal density q
+/// against target density pi.
 ///
-/// Per attempt, `propose` draws a candidate (using `rng`) and returns its
-/// log target density; on acceptance `commit` installs the candidate into
-/// the caller's state. Returns the log density of the final state.
+/// Per attempt, `propose` draws a candidate y (using `rng`) and returns its
+/// log weight log pi(y) - log q(y), or just log pi(y) where q is uniform
+/// on the target's support and cancels (e.g. uniform-box proposals under a
+/// uniform prior). The move accepts with probability
+/// min(1, pi(y) q(x) / (pi(x) q(y))): the weight ratio against
+/// `current_log_weight`, the current state x's weight. On acceptance
+/// `commit` installs the candidate into the caller's state. Returns the
+/// log weight of the final state.
 ///
 /// RNG call order per attempt is: proposal draws, then one accept uniform —
 /// the same order as the hand-written loops this replaces, so fixed-seed
 /// traces are unchanged.
 inline double independence_metropolis(
-    random::Rng& rng, int attempts, double current_log_density,
+    random::Rng& rng, int attempts, double current_log_weight,
     support::function_ref<double(random::Rng&)> propose,
     support::function_ref<void()> commit) {
   for (int attempt = 0; attempt < attempts; ++attempt) {
     const double proposed = propose(rng);
-    if (metropolis_accept(rng, proposed - current_log_density)) {
+    if (metropolis_accept(rng, proposed - current_log_weight)) {
       commit();
-      current_log_density = proposed;
+      current_log_weight = proposed;
     }
   }
-  return current_log_density;
+  return current_log_weight;
 }
 
 }  // namespace srm::mcmc

@@ -98,6 +98,21 @@ double gamma_q_continued_fraction(double a, double x) {
   throw NumericError("regularized_gamma_q: continued fraction failed");
 }
 
+// True where Q(a, x) < 2^-60 provably, so that 1 - Q rounds to exactly 1.
+// For a >= 1 and x >= 2a, Gamma(a, x) <= x^a e^-x / (x - a + 1), and
+// Stirling's lower bound lgamma(a) >= (a - 1/2) log a - a + log(2 pi)/2
+// gives log Q <= a log(x/a) + log(a)/2 - x + a - log(x - a + 1)
+// - log(2 pi)/2; -log(x - a + 1) <= -log 2 there, and +log 2 in its place
+// leaves slack for the rounding of the bound itself.
+bool upper_tail_rounds_away(double a, double x) {
+  constexpr double kLog2 = 0.6931471805599453;
+  constexpr double kHalfLog2Pi = 0.9189385332046728;
+  if (a < 1.0 || x < 2.0 * a) return false;
+  return a * std::log(x / a) + 0.5 * std::log(a) - x + a + kLog2 -
+             kHalfLog2Pi <
+         -60.0 * kLog2;
+}
+
 // Continued fraction for the incomplete beta (Lentz).
 double beta_continued_fraction(double a, double b, double x) {
   constexpr double kFpMin = std::numeric_limits<double>::min() / kEps;
@@ -208,7 +223,10 @@ double log_regularized_gamma_p(double a, double x) {
   SRM_EXPECTS(x >= 0.0, "log_regularized_gamma_p requires x >= 0");
   if (fp::is_zero(x)) return -kInf;
   if (x >= a + 1.0) {
-    // P is not small here; the direct value is accurate.
+    // P is not small here; the direct value is accurate. Where the upper
+    // tail rounds away, that value is log(1) = 0 and the continued
+    // fraction is skipped.
+    if (upper_tail_rounds_away(a, x)) return 0.0;
     return std::log(regularized_gamma_p(a, x));
   }
   // Series in log form: P = x^a e^{-x} / Gamma(a+1) * [1 + sum_{n>=1}

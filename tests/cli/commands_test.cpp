@@ -267,6 +267,17 @@ TEST(Cli, FitRejectsChainsTooShortForGeweke) {
       << result.err;
 }
 
+TEST(Cli, SelectRejectsChainsTooShortForGeweke) {
+  // The serve select op fits every grid cell through fit_cell, which
+  // refuses chains too short for Geweke's windows; CLI select refuses the
+  // same request before sampling, with the same message.
+  const auto result =
+      run("select", {"--csv", "sys1", "--iterations", "30", "--burn-in", "5"});
+  EXPECT_EQ(result.code, 2) << result.out;
+  EXPECT_NE(result.err.find("40"), std::string::npos) << result.err;
+  EXPECT_TRUE(result.out.empty()) << result.out;
+}
+
 TEST(Cli, MissingCsvFails) {
   const auto result = run("fit", {});
   EXPECT_EQ(result.code, 2);

@@ -85,11 +85,13 @@ using srm::core::PriorKind;
 using srm::core::SamplerScheme;
 
 /// Allocations performed by `updates` steady-state scans after `warmup`
-/// warm-up scans on the full sys1 dataset.
+/// warm-up scans on the full sys1 dataset. With `frozen`, the warm-up ends
+/// with the burn-in hook, which must freeze the kernel the counted scans
+/// then run.
 std::uint64_t count_update_allocations(PriorKind prior,
                                        DetectionModelKind model_kind,
                                        SamplerScheme scheme, int warmup,
-                                       int updates) {
+                                       int updates, bool frozen = false) {
   const auto data = srm::data::sys1_grouped();
   HyperPriorConfig config;
   config.scheme = scheme;
@@ -99,6 +101,11 @@ std::uint64_t count_update_allocations(PriorKind prior,
   const auto workspace = model.make_workspace();
   for (int i = 0; i < warmup; ++i) {
     model.update(state, rng, workspace.get());
+  }
+  if (frozen) {
+    model.end_burn_in(workspace.get());
+    EXPECT_TRUE(dynamic_cast<const BayesianSrm::Workspace&>(*workspace)
+                    .kernel_frozen());
   }
   g_allocation_count.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
@@ -125,11 +132,16 @@ std::vector<std::pair<PriorKind, DetectionModelKind>> kernel_cells() {
 }
 
 TEST(ZeroAllocationKernel, CollapsedSchemeAllModelsBothPriors) {
+  // Burn-in kernel scans first, then the kernel frozen by the burn-in hook.
   for (const auto& [prior, model] : kernel_cells()) {
-    EXPECT_EQ(count_update_allocations(prior, model,
-                                       SamplerScheme::kCollapsed, 50, 100),
-              0u)
-        << srm::core::to_string(prior) << " " << srm::core::to_string(model);
+    for (const bool frozen : {false, true}) {
+      EXPECT_EQ(count_update_allocations(prior, model,
+                                         SamplerScheme::kCollapsed, 50, 100,
+                                         frozen),
+                0u)
+          << srm::core::to_string(prior) << " "
+          << srm::core::to_string(model) << (frozen ? " frozen" : "");
+    }
   }
 }
 

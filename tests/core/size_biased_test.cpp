@@ -121,9 +121,11 @@ srm::mcmc::McmcRun golden_run(SamplerScheme scheme) {
 TEST(SizeBiased, GoldenTraceDigestsBothSchemes) {
   // Fixed-seed digests captured at the family's registration; same
   // geometry as the scalar golden set in tests/mcmc/golden_trace_test.cpp.
-  // Any bit drift in the sampler shows up here first.
+  // Any bit drift in the sampler shows up here first. The collapsed one
+  // was re-pinned under artifact schema version 4, with the kernel frozen
+  // at the end of burn-in.
   EXPECT_EQ(digest_of(golden_run(SamplerScheme::kCollapsed)),
-            0xa2f97b68f55df793ULL);
+            0x6610eab4c46617e3ULL);
   EXPECT_EQ(digest_of(golden_run(SamplerScheme::kVanilla)),
             0xbfea03a4c4841b60ULL);
 }

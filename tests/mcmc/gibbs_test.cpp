@@ -4,6 +4,7 @@
 #include "mcmc/gibbs.hpp"
 
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -90,6 +91,50 @@ TEST(GibbsDriver, ParallelAndSerialAgree) {
   options.parallel_chains = false;
   const auto serial = run_gibbs(model, options);
   EXPECT_EQ(parallel.pooled("x"), serial.pooled("x"));
+}
+
+/// Counts scans and burn-in hook calls per workspace.
+class HookProbe final : public GibbsModel {
+ public:
+  struct Workspace final : srm::mcmc::GibbsWorkspace {
+    std::size_t scans = 0;
+    std::size_t hooks = 0;
+  };
+
+  std::vector<std::string> parameter_names() const override { return {"x"}; }
+  std::vector<double> initial_state(srm::random::Rng&) const override {
+    return {0.0};
+  }
+  std::unique_ptr<srm::mcmc::GibbsWorkspace> make_workspace() const override {
+    return std::make_unique<Workspace>();
+  }
+  void update(std::vector<double>& state, srm::random::Rng&,
+              srm::mcmc::GibbsWorkspace* workspace) const override {
+    auto& ws = dynamic_cast<Workspace&>(*workspace);
+    state[0] = static_cast<double>(++ws.scans * 10 + ws.hooks);
+  }
+  void end_burn_in(srm::mcmc::GibbsWorkspace* workspace) const override {
+    ++dynamic_cast<Workspace&>(*workspace).hooks;
+  }
+  using GibbsModel::update;
+};
+
+TEST(GibbsDriver, EndBurnInRunsOncePerChainWhereBurnInEnds) {
+  // Each retained draw encodes scan * 10 + hooks seen so far: every chain's
+  // hook runs exactly once, on its own workspace, between the last burn-in
+  // scan and the first retained one.
+  const HookProbe model;
+  GibbsOptions options;
+  options.chain_count = 3;
+  options.burn_in = 7;
+  options.iterations = 4;
+  const auto run = run_gibbs(model, options);
+  for (std::size_t c = 0; c < 3; ++c) {
+    const auto draws = run.chain(c).parameter(0);
+    EXPECT_EQ(std::vector<double>(draws.begin(), draws.end()),
+              (std::vector<double>{81.0, 91.0, 101.0, 111.0}))
+        << "chain " << c;
+  }
 }
 
 TEST(GibbsDriver, ThinningReducesRetainedSamples) {

@@ -35,15 +35,15 @@ std::uint64_t fnv1a_append(std::uint64_t hash, std::uint64_t bits) {
 
 /// Digest of every retained draw in (chain, parameter, sample) order.
 std::uint64_t trace_digest(SamplerScheme scheme, PriorKind prior,
-                           int model_id) {
+                           DetectionModelKind model_kind,
+                           std::size_t burn_in = 50) {
   const auto data = srm::data::sys1_grouped().truncated(67);
   HyperPriorConfig config;
   config.scheme = scheme;
-  const BayesianSrm model(prior, static_cast<DetectionModelKind>(model_id),
-                          data, config);
+  const BayesianSrm model(prior, model_kind, data, config);
   srm::mcmc::GibbsOptions options;
   options.chain_count = 2;
-  options.burn_in = 50;
+  options.burn_in = burn_in;
   options.iterations = 120;
   options.seed = 20240624;
   const auto run = srm::mcmc::run_gibbs(model, options);
@@ -71,29 +71,32 @@ struct GoldenCase {
 // when that scan moved to the thinned (alpha0, beta') parametrisation, and
 // the collapsed model0..model4 digests of both priors under version 3,
 // when their zeta block moved to the sufficient-statistic evaluators
-// (DESIGN.md); every other digest is the original.
+// (DESIGN.md). Every collapsed digest was re-pinned under version 4, when
+// the zeta kernel after burn-in became the one frozen by end_burn_in (the
+// burn-in kernel is pinned by AdaptiveKernelBurnIn below); every vanilla
+// digest is the original.
 constexpr GoldenCase kGoldenCases[] = {
-    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 0, 0x752efd951bb7ab31ULL},
-    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 1, 0xbe5b3406adedd49bULL},
-    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 2, 0x89c717aa1c6ccba2ULL},
-    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 3, 0xb5228d905b56b28aULL},
-    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 4, 0xc0b75a4e257d199eULL},
-    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 5, 0xd323780d1d330734ULL},
-    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 6, 0x0b8f18a2836f7736ULL},
+    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 0, 0x4d8c8648a5d1febdULL},
+    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 1, 0xe57421fa80a906bdULL},
+    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 2, 0x9df31d4f574a384fULL},
+    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 3, 0x4d12351c970fc37cULL},
+    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 4, 0x00aa9ccce4dbc27aULL},
+    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 5, 0x1b16e095cb3a7a69ULL},
+    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 6, 0x84190d06aeccf9d1ULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 0,
-     0xae45bbede099082fULL},
+     0xeac2880800a6e9dcULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 1,
-     0xe6366c0961114badULL},
+     0x713e2ca22673f0abULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 2,
-     0x2fda78e2accfc46bULL},
+     0xa3892a03e0fa23c2ULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 3,
-     0x27915282f443a94dULL},
+     0xbf49d27e3d4f5ad9ULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 4,
-     0x4702f6b87e864214ULL},
+     0x66e9ed63d2b71f4dULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 5,
-     0x3126b6720cf85a9cULL},
+     0xa2c1e29047f3cd6eULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 6,
-     0x196c4b82006740e8ULL},
+     0x31f750e2c2b75eadULL},
     {SamplerScheme::kVanilla, PriorKind::kPoisson, 0, 0xdb803ddadc8931b2ULL},
     {SamplerScheme::kVanilla, PriorKind::kPoisson, 1, 0x2e1f79bdd2cd8d5bULL},
     {SamplerScheme::kVanilla, PriorKind::kPoisson, 2, 0xe5a5fe8e3b6d2c26ULL},
@@ -121,7 +124,9 @@ class GoldenTrace : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenTrace, MatchesPreRefactorDigest) {
   const auto& c = GetParam();
-  EXPECT_EQ(trace_digest(c.scheme, c.prior, c.model_id), c.digest)
+  EXPECT_EQ(trace_digest(c.scheme, c.prior,
+                         static_cast<DetectionModelKind>(c.model_id)),
+            c.digest)
       << "scheme=" << (c.scheme == SamplerScheme::kVanilla ? 1 : 0)
       << " prior=" << (c.prior == PriorKind::kNegativeBinomial ? 1 : 0)
       << " model=" << c.model_id;
@@ -137,6 +142,70 @@ std::string case_name(const ::testing::TestParamInfo<GoldenCase>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllConfigurations, GoldenTrace,
                          ::testing::ValuesIn(kGoldenCases), case_name);
+
+/// A burn-in of 10 scans leaves 5 in its second half, too few for
+/// BayesianSrm::end_burn_in to fit a kernel, so these chains run the burn-in
+/// kernel throughout.
+constexpr std::size_t kBurnInTooShortToFreeze = 10;
+
+struct BurnInCase {
+  PriorKind prior;
+  DetectionModelKind model;
+  std::uint64_t digest;
+};
+
+// Every collapsed configuration, the size-biased family's included,
+// captured before the post-burn-in kernel was frozen at the end of burn-in
+// (artifact schema version 3): the burn-in kernel has not moved a bit.
+constexpr BurnInCase kBurnInCases[] = {
+    {PriorKind::kPoisson, DetectionModelKind::kConstant, 0x4ff10bf0088a1617ULL},
+    {PriorKind::kPoisson, DetectionModelKind::kPadgettSpurrier,
+     0x5690f03d62b60ed0ULL},
+    {PriorKind::kPoisson, DetectionModelKind::kLogLogistic,
+     0x5166f2f25adfc855ULL},
+    {PriorKind::kPoisson, DetectionModelKind::kPareto, 0xab37d35d22a28710ULL},
+    {PriorKind::kPoisson, DetectionModelKind::kWeibull, 0xf83aac5f41f07d63ULL},
+    {PriorKind::kPoisson, DetectionModelKind::kRayleigh, 0xb65f1c8850303377ULL},
+    {PriorKind::kPoisson, DetectionModelKind::kLearningCurve,
+     0x569e3507509980d5ULL},
+    {PriorKind::kNegativeBinomial, DetectionModelKind::kConstant,
+     0xede5793c0aae7a9cULL},
+    {PriorKind::kNegativeBinomial, DetectionModelKind::kPadgettSpurrier,
+     0x159c503898d04ae0ULL},
+    {PriorKind::kNegativeBinomial, DetectionModelKind::kLogLogistic,
+     0x590053bc6d3011b8ULL},
+    {PriorKind::kNegativeBinomial, DetectionModelKind::kPareto,
+     0x9754a69abf0733c8ULL},
+    {PriorKind::kNegativeBinomial, DetectionModelKind::kWeibull,
+     0x686b01eeef203768ULL},
+    {PriorKind::kNegativeBinomial, DetectionModelKind::kRayleigh,
+     0xf352358c01651c6bULL},
+    {PriorKind::kNegativeBinomial, DetectionModelKind::kLearningCurve,
+     0x91000997501bbc9bULL},
+    {PriorKind::kSizeBiased, DetectionModelKind::kSizeBiasedMultinomial,
+     0xc0748031bef7e2fcULL},
+};
+
+class AdaptiveKernelBurnIn : public ::testing::TestWithParam<BurnInCase> {};
+
+TEST_P(AdaptiveKernelBurnIn, TooShortToFreezeMatchesBurnInKernelDigest) {
+  const auto& c = GetParam();
+  EXPECT_EQ(trace_digest(SamplerScheme::kCollapsed, c.prior, c.model,
+                         kBurnInTooShortToFreeze),
+            c.digest)
+      << srm::core::to_string(c.prior) << " "
+      << srm::core::to_string(c.model);
+}
+
+std::string burn_in_case_name(
+    const ::testing::TestParamInfo<BurnInCase>& info) {
+  return srm::core::to_string(info.param.prior) + "_" +
+         srm::core::to_string(info.param.model);
+}
+
+INSTANTIATE_TEST_SUITE_P(CollapsedConfigurations, AdaptiveKernelBurnIn,
+                         ::testing::ValuesIn(kBurnInCases),
+                         burn_in_case_name);
 
 /// A workspace-threaded chain and a workspace-less chain must agree bit for
 /// bit: the workspace is scratch only and carries no sampler state.

@@ -2,6 +2,7 @@
 // high-precision references (Mathematica / mpmath, 20 significant digits).
 #include "support/math.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -206,6 +207,23 @@ TEST(LogRegularizedGammaP, MatchesDirectLogWhereBothAreAccurate) {
       const double direct = std::log(m::regularized_gamma_p(a, x));
       EXPECT_NEAR(m::log_regularized_gamma_p(a, x), direct,
                   1e-10 * (1.0 + std::abs(direct)))
+          << "a=" << a << " x=" << x;
+    }
+  }
+}
+
+TEST(LogRegularizedGammaP, UpperTailAgreesBitForBitWithContinuedFraction) {
+  // From x = a + 1 on, log P is log(1 - Q) with Q from the continued
+  // fraction; where Q provably rounds away the fraction is skipped, and
+  // the result must not move by a bit anywhere on [a + 1, 50a].
+  for (const double a : {1.0, 1.5, 137.0, 1e4, 1e5}) {
+    constexpr int kPoints = 400;
+    for (int i = 0; i <= kPoints; ++i) {
+      const double x = (a + 1.0) * std::pow(50.0 * a / (a + 1.0),
+                                            static_cast<double>(i) / kPoints);
+      const double direct = std::log(m::regularized_gamma_p(a, x));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(m::log_regularized_gamma_p(a, x)),
+                std::bit_cast<std::uint64_t>(direct))
           << "a=" << a << " x=" << x;
     }
   }
