@@ -4,6 +4,7 @@
 #include <string>
 #include <string_view>
 
+#include "artifact/cell_store.hpp"
 #include "support/error.hpp"
 
 namespace srm::artifact {
@@ -126,45 +127,12 @@ core::HyperPriorConfig hyper_prior_config_from_json(const Json& json) {
   return config;
 }
 
-Json to_json(const core::ExperimentSpec& spec) {
-  Json json = Json::Object{};
-  json.set("prior", core::to_string(spec.prior));
-  json.set("model", core::to_string(spec.model));
-  json.set("config", to_json(spec.config));
-  json.set("gibbs", to_json(spec.gibbs));
-  json.set("observation_days", days_to_json(spec.observation_days));
-  json.set("eventual_total", spec.eventual_total);
-  return json;
-}
-
-core::ExperimentSpec experiment_spec_from_json(const Json& json) {
-  core::ExperimentSpec spec;
-  spec.prior = prior_at(json, "prior");
-  spec.model = model_at(json, "model");
-  spec.config = hyper_prior_config_from_json(json.at("config"));
-  spec.gibbs = gibbs_options_from_json(json.at("gibbs"));
-  spec.observation_days = days_from_json(json.at("observation_days"));
-  spec.eventual_total = json.at("eventual_total").as_int();
-  return spec;
-}
-
 Json to_json(const report::SweepOptions& options) {
   Json json = Json::Object{};
   json.set("observation_days", days_to_json(options.observation_days));
   json.set("eventual_total", options.eventual_total);
   json.set("gibbs", to_json(options.gibbs));
   json.set("base_config", to_json(options.base_config));
-  // Omit-if-default so sweeps over the paper's reproduction grid — every
-  // artifact written before families became configurable — keep their
-  // exact bytes and sweep hashes.
-  if (options.families != core::reproduction_family_kinds()) {
-    Json::Array families;
-    families.reserve(options.families.size());
-    for (const auto prior : options.families) {
-      families.push_back(core::to_string(prior));
-    }
-    json.set("families", std::move(families));
-  }
   Json::Array overrides;
   for (const auto& o : options.overrides()) {
     Json entry = Json::Object{};
@@ -183,16 +151,12 @@ report::SweepOptions sweep_options_from_json(const Json& json) {
   options.eventual_total = json.at("eventual_total").as_int();
   options.gibbs = gibbs_options_from_json(json.at("gibbs"));
   options.base_config = hyper_prior_config_from_json(json.at("base_config"));
-  if (const Json* families = json.find("families")) {
-    options.families.clear();
-    for (const auto& name : families->as_array()) {
-      const auto* entry = core::find_family(name.as_string());
-      if (entry == nullptr) {
-        throw InvalidArgument("unknown model family: " + name.as_string() +
-                              " (use " + core::family_ids_joined() + ")");
-      }
-      options.families.push_back(entry->kind);
-    }
+  // Sweeps always lay out the reproduction families. Options naming another
+  // grid were written when the grid was configurable; the sweep hash never
+  // covered it, so loading them would misdescribe their cells.
+  if (json.find("families") != nullptr) {
+    throw InvalidArgument(
+        "sweep options member \"families\" names a removed grid setting");
   }
   for (const auto& entry : json.at("overrides").as_array()) {
     options.set_override(prior_at(entry, "prior"), model_at(entry, "model"),
@@ -362,6 +326,19 @@ report::SweepResult sweep_result_from_json(const Json& json) {
     sweep.cells.push_back(sweep_cell_from_json(cell));
   }
   return sweep;
+}
+
+Json cell_envelope(const std::string& hash, core::PriorKind prior,
+                   core::DetectionModelKind model, std::size_t observation_day,
+                   const core::ObservationResult& result) {
+  Json cell = Json::Object{};
+  cell.set("schema_version", kSchemaVersion);
+  cell.set("hash", hash);
+  cell.set("prior", core::to_string(prior));
+  cell.set("model", core::to_string(model));
+  cell.set("observation_day", Json::from_unsigned(observation_day));
+  cell.set("result", to_json(result));
+  return cell;
 }
 
 }  // namespace srm::artifact

@@ -9,6 +9,8 @@
 // this property over randomized SweepResults, including subnormals and -0).
 #pragma once
 
+#include <string>
+
 #include "core/experiment.hpp"
 #include "report/sweep.hpp"
 #include "support/json.hpp"
@@ -23,9 +25,6 @@ mcmc::GibbsOptions gibbs_options_from_json(const Json& json);
 
 Json to_json(const core::HyperPriorConfig& config);
 core::HyperPriorConfig hyper_prior_config_from_json(const Json& json);
-
-Json to_json(const core::ExperimentSpec& spec);
-core::ExperimentSpec experiment_spec_from_json(const Json& json);
 
 Json to_json(const report::SweepOptions& options);
 report::SweepOptions sweep_options_from_json(const Json& json);
@@ -48,5 +47,14 @@ report::SweepCell sweep_cell_from_json(const Json& json);
 
 Json to_json(const report::SweepResult& sweep);
 report::SweepResult sweep_result_from_json(const Json& json);
+
+// --- cell files -----------------------------------------------------------
+/// The cells/<hash>.json envelope of one fit cell (schema_version, hash,
+/// prior, model, observation_day, result). The sweep artifact store and the
+/// estimation service's disk tier both write it, which is what lets a
+/// finished sweep directory warm-start the service.
+Json cell_envelope(const std::string& hash, core::PriorKind prior,
+                   core::DetectionModelKind model, std::size_t observation_day,
+                   const core::ObservationResult& result);
 
 }  // namespace srm::artifact

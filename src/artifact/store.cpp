@@ -30,7 +30,7 @@ ArtifactStore::ArtifactStore(std::filesystem::path dir,
   // Lay the grid out exactly as run_sweep does (both derive it from
   // report::sweep_grid), so slot order — and with it the manifest's cell
   // order and budget semantics — matches plan order.
-  for (const auto& [prior, model] : report::sweep_grid(options.families)) {
+  for (const auto& [prior, model] : report::sweep_grid()) {
     core::ExperimentSpec spec;
     spec.prior = prior;
     spec.model = model;
@@ -116,14 +116,8 @@ void ArtifactStore::on_computed(const core::ExperimentSpec& spec,
               "computed cell " + hash +
                   " is not part of this artifact's sweep");
 
-  Json cell = Json::Object{};
-  cell.set("schema_version", kSchemaVersion);
-  cell.set("hash", hash);
-  cell.set("prior", slot->prior);
-  cell.set("model", slot->model);
-  cell.set("observation_day", Json::from_unsigned(observation_day));
-  cell.set("result", to_json(result));
-  cells_.save(hash, cell);
+  cells_.save(hash, cell_envelope(hash, spec.prior, spec.model,
+                                  observation_day, result));
 
   slot->done = true;
   ++sampled_;

@@ -48,8 +48,7 @@ data::BugCountData load_dataset(const Args& args,
   if (args.has("days")) {
     const auto days = args.get_size("days", 0);
     SRM_EXPECTS(days >= 1, "flag --days expects at least 1 day, got 0");
-    data = days <= data.days() ? data.truncated(days)
-                               : data.with_virtual_testing(days);
+    data = core::dataset_at_observation(data, days);
   }
   return data;
 }
@@ -100,13 +99,18 @@ core::DetectionModelKind parse_model(const Args& args,
   return kind;
 }
 
-mcmc::GibbsOptions parse_gibbs(const Args& args) {
-  mcmc::GibbsOptions gibbs;
-  gibbs.chain_count = args.get_size("chains", 2);
-  gibbs.burn_in = args.get_size("burn-in", 500);
-  gibbs.iterations = args.get_size("iterations", 2500);
-  gibbs.thin = args.get_size("thin", 1);
-  gibbs.seed = static_cast<std::uint64_t>(args.get_int("seed", 20240624));
+/// The sampler flags (--chains, --burn-in, --iterations, --thin, --seed)
+/// over `gibbs`, which holds the command's defaults: the paper's budget
+/// unless the command has its own.
+mcmc::GibbsOptions parse_gibbs(
+    const Args& args,
+    mcmc::GibbsOptions gibbs = report::paper_sweep_options().gibbs) {
+  gibbs.chain_count = args.get_size("chains", gibbs.chain_count);
+  gibbs.burn_in = args.get_size("burn-in", gibbs.burn_in);
+  gibbs.iterations = args.get_size("iterations", gibbs.iterations);
+  gibbs.thin = args.get_size("thin", gibbs.thin);
+  gibbs.seed = static_cast<std::uint64_t>(
+      args.get_int("seed", static_cast<std::int64_t>(gibbs.seed)));
   return gibbs;
 }
 
@@ -119,13 +123,15 @@ void configure_runtime(const Args& args) {
   runtime::ThreadPool::set_global_thread_count(args.get_size("threads", 0));
 }
 
-core::HyperPriorConfig parse_config(const Args& args) {
-  core::HyperPriorConfig config;
+/// The hyperprior flags (--lambda-max, --alpha-max, --theta-max,
+/// --jeffreys) over `config`, which holds the command's defaults.
+core::HyperPriorConfig parse_config(const Args& args,
+                                    core::HyperPriorConfig config = {}) {
   config.lambda_max = args.get_double("lambda-max", config.lambda_max);
   config.alpha_max = args.get_double("alpha-max", config.alpha_max);
   config.limits.theta_max =
       args.get_double("theta-max", config.limits.theta_max);
-  config.jeffreys_lambda0 = args.has("jeffreys");
+  if (args.has("jeffreys")) config.jeffreys_lambda0 = true;
   return config;
 }
 
@@ -462,20 +468,8 @@ int run_sweep(const Args& args, std::ostream& out) {
     options.observation_days = parse_day_list(args.require_string("obs-days"));
   }
   options.eventual_total = args.get_int("total", options.eventual_total);
-  options.gibbs.chain_count = args.get_size("chains", options.gibbs.chain_count);
-  options.gibbs.burn_in = args.get_size("burn-in", options.gibbs.burn_in);
-  options.gibbs.iterations =
-      args.get_size("iterations", options.gibbs.iterations);
-  options.gibbs.thin = args.get_size("thin", options.gibbs.thin);
-  options.gibbs.seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(options.gibbs.seed)));
-  options.base_config.lambda_max =
-      args.get_double("lambda-max", options.base_config.lambda_max);
-  options.base_config.alpha_max =
-      args.get_double("alpha-max", options.base_config.alpha_max);
-  options.base_config.limits.theta_max =
-      args.get_double("theta-max", options.base_config.limits.theta_max);
-  if (args.has("jeffreys")) options.base_config.jeffreys_lambda0 = true;
+  options.gibbs = parse_gibbs(args, options.gibbs);
+  options.base_config = parse_config(args, options.base_config);
 
   const std::string out_dir = args.get_string("out", "");
   const bool resume = args.has("resume");

@@ -9,7 +9,6 @@
 #include "mcmc/metropolis.hpp"
 #include "mcmc/slice.hpp"
 #include "random/samplers.hpp"
-#include "stats/beta.hpp"
 #include "support/error.hpp"
 #include "support/fp.hpp"
 #include "support/math.hpp"
@@ -206,8 +205,8 @@ void BayesianSrm::update_hyperparameters(std::vector<double>& state,
   } else {
     // beta0 | N, alpha0 ~ Beta(alpha0 + 1, N + 1)  [exact].
     const double alpha0 = std::max(state[1], 1e-12);
-    state[2] = stats::Beta(alpha0 + 1.0, static_cast<double>(n) + 1.0)
-                   .sample(rng);
+    state[2] = random::sample_beta(rng, alpha0 + 1.0,
+                                   static_cast<double>(n) + 1.0);
     state[2] = std::clamp(state[2], 1e-12, 1.0 - 1e-12);
     // alpha0 | N, beta0 ∝ Gamma(N + alpha0)/Gamma(alpha0) * beta0^{alpha0}.
     const double beta0 = state[2];

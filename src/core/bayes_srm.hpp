@@ -133,9 +133,6 @@ class BayesianSrm final : public SrmModel {
                      mcmc::GibbsWorkspace& workspace,
                      std::span<double> out) const override;
 
-  // --- accessors ----------------------------------------------------------
-  [[nodiscard]] PriorKind prior() const { return prior_; }
-
   // --- derived quantities -------------------------------------------------
   /// p_1..p_k for the given detection parameters.
   [[nodiscard]] std::vector<double> detection_probabilities(

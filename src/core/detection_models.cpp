@@ -341,15 +341,6 @@ double DetectionModel::probability(std::size_t day,
   return p;
 }
 
-double DetectionModel::log_survival(std::size_t day,
-                                    std::span<const double> zeta) const {
-  SRM_EXPECTS(day >= 1 && zeta.size() == parameter_count(),
-              "log_survival requires a 1-based day and a full zeta vector");
-  double log_q = 0.0;
-  fill(day, zeta, {}, std::span(&log_q, 1));
-  return log_q;
-}
-
 void DetectionModel::probabilities_into(std::size_t days,
                                         std::span<const double> zeta,
                                         std::span<double> out) const {
@@ -379,15 +370,6 @@ void DetectionModel::detection_into(std::size_t days,
               "detection_into requires a full zeta vector and both out "
               "buffers >= days");
   fill(1, zeta, probabilities_out.first(days), log_survivals_out.first(days));
-}
-
-std::vector<double> DetectionModel::log_survivals(
-    std::size_t days, std::span<const double> zeta) const {
-  SRM_EXPECTS(zeta.size() == parameter_count(),
-              "log_survivals requires a full zeta vector");
-  std::vector<double> log_q(days);
-  fill(1, zeta, {}, log_q);
-  return log_q;
 }
 
 std::vector<double> DetectionModel::probabilities(

@@ -117,22 +117,18 @@ class DetectionModel {
   [[nodiscard]] double probability(std::size_t day,
                                    std::span<const double> zeta) const;
 
-  /// log(1 - p_i), computed WITHOUT forming p_i. This matters for the
-  /// power-form hazards (models 3/4/5): e.g. model5's q_i = mu^{2i-1}
-  /// underflows double precision long before the analytic
-  /// log q_i = (2i-1) log mu stops being finite, and the naive
-  /// log1p(-probability(...)) would spuriously return -inf and poison the
-  /// likelihood. Same preconditions as probability.
-  [[nodiscard]] double log_survival(std::size_t day,
-                                    std::span<const double> zeta) const;
-
   /// Fills out[i-1] = probability(i, zeta) for i = 1..days in one virtual
   /// call (the Gibbs kernel's per-probe sweep).
   /// Preconditions: zeta.size() == parameter_count(), out.size() >= days.
   void probabilities_into(std::size_t days, std::span<const double> zeta,
                           std::span<double> out) const;
 
-  /// Fills out[i-1] = log_survival(i, zeta) for i = 1..days.
+  /// Fills out[i-1] = log(1 - p_i) for i = 1..days, computed WITHOUT
+  /// forming p_i. This matters for the power-form hazards (models 3/4/5):
+  /// e.g. model5's q_i = mu^{2i-1} underflows double precision long before
+  /// the analytic log q_i = (2i-1) log mu stops being finite, and the naive
+  /// log1p(-probability(...)) would spuriously return -inf and poison the
+  /// likelihood.
   void log_survivals_into(std::size_t days, std::span<const double> zeta,
                           std::span<double> out) const;
 
@@ -145,11 +141,6 @@ class DetectionModel {
   /// Convenience: p_1..p_days (allocates; prefer probabilities_into in
   /// hot paths).
   [[nodiscard]] std::vector<double> probabilities(
-      std::size_t days, std::span<const double> zeta) const;
-
-  /// Convenience: log q_1..log q_days (allocates; prefer log_survivals_into
-  /// in hot paths).
-  [[nodiscard]] std::vector<double> log_survivals(
       std::size_t days, std::span<const double> zeta) const;
 
  protected:

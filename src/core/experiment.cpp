@@ -26,29 +26,13 @@ ObservationResult run_observation(const data::BugCountData& base,
 }
 
 std::vector<ObservationResult> run_experiment(const data::BugCountData& base,
-                                              const ExperimentSpec& spec,
-                                              ObservationStore* store) {
+                                              const ExperimentSpec& spec) {
   SRM_EXPECTS(!spec.observation_days.empty(),
               "experiment needs at least one observation day");
   std::vector<ObservationResult> results;
   results.reserve(spec.observation_days.size());
   for (const std::size_t day : spec.observation_days) {
-    if (store == nullptr) {
-      results.push_back(run_observation(base, spec, day));
-      continue;
-    }
-    ObservationResult stored;
-    switch (store->plan(spec, day, stored)) {
-      case ObservationStore::Plan::kReuse:
-        results.push_back(std::move(stored));
-        break;
-      case ObservationStore::Plan::kSkip:
-        break;
-      case ObservationStore::Plan::kCompute:
-        results.push_back(run_observation(base, spec, day));
-        store->on_computed(spec, day, results.back());
-        break;
-    }
+    results.push_back(run_observation(base, spec, day));
   }
   return results;
 }

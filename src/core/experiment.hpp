@@ -52,10 +52,10 @@ struct ExperimentSpec {
   std::int64_t eventual_total = 0;
 };
 
-/// Persistence hook for experiment drivers (run_experiment, run_sweep):
-/// lets already-computed observation cells be replayed from a store instead
-/// of re-sampled, and streams freshly computed cells out as they finish.
-/// The artifact layer (src/artifact/ArtifactStore) is the production
+/// Persistence hook for the sweep driver (report::run_sweep): lets
+/// already-computed observation cells be replayed from a store instead of
+/// re-sampled, and streams freshly computed cells out as they finish. The
+/// artifact layer (src/artifact/ArtifactStore) is the production
 /// implementation; tests install counting fakes.
 class ObservationStore {
  public:
@@ -84,13 +84,10 @@ class ObservationStore {
 data::BugCountData dataset_at_observation(const data::BugCountData& base,
                                           std::size_t observation_day);
 
-/// Runs one (prior, model) SRM across all observation days. With a store,
-/// each day is planned through it first: kReuse days replay the stored
-/// result bit-identically (no sampling), kSkip days are omitted from the
-/// returned vector, and freshly computed days are reported back.
+/// Runs one (prior, model) SRM across all observation days, one result per
+/// day in spec order.
 std::vector<ObservationResult> run_experiment(const data::BugCountData& base,
-                                              const ExperimentSpec& spec,
-                                              ObservationStore* store = nullptr);
+                                              const ExperimentSpec& spec);
 
 /// Runs a single observation day; exposed for tests and examples.
 ObservationResult run_observation(const data::BugCountData& base,

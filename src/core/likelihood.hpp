@@ -46,8 +46,8 @@ double log_likelihood_zeta_kernel(const data::BugCountData& data,
                                   std::span<const double> probabilities);
 
 /// Overload taking precomputed stable log q_i values (from
-/// DetectionModel::log_survivals) — required for power-form hazards whose
-/// q_i underflow double precision; see DetectionModel::log_survival.
+/// DetectionModel::log_survivals_into) — required for power-form hazards
+/// whose q_i underflow double precision; see that function.
 double log_likelihood_zeta_kernel(const data::BugCountData& data,
                                   std::int64_t initial_bugs,
                                   std::span<const double> probabilities,

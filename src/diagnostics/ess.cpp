@@ -32,8 +32,4 @@ double effective_sample_size(std::span<const double> chain) {
   return std::clamp(n / std::max(tau, 1.0), 1.0, n);
 }
 
-double integrated_autocorrelation_time(std::span<const double> chain) {
-  return static_cast<double>(chain.size()) / effective_sample_size(chain);
-}
-
 }  // namespace srm::diagnostics

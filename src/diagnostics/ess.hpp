@@ -12,7 +12,4 @@ namespace srm::diagnostics {
 /// sticky one; clamped to [1, n].
 double effective_sample_size(std::span<const double> chain);
 
-/// Integrated autocorrelation time tau = n / ESS.
-double integrated_autocorrelation_time(std::span<const double> chain);
-
 }  // namespace srm::diagnostics

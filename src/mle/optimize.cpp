@@ -128,32 +128,4 @@ OptimizeResult nelder_mead(const Objective& objective,
   return result;
 }
 
-double golden_section_maximize(const std::function<double(double)>& objective,
-                               double lo, double hi, double tolerance) {
-  SRM_EXPECTS(lo < hi, "golden_section requires lo < hi");
-  constexpr double kInvPhi = 0.6180339887498949;
-  double a = lo;
-  double b = hi;
-  double x1 = b - kInvPhi * (b - a);
-  double x2 = a + kInvPhi * (b - a);
-  double f1 = objective(x1);
-  double f2 = objective(x2);
-  while (b - a > tolerance * (1.0 + std::abs(a) + std::abs(b))) {
-    if (f1 < f2) {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kInvPhi * (b - a);
-      f2 = objective(x2);
-    } else {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kInvPhi * (b - a);
-      f1 = objective(x1);
-    }
-  }
-  return 0.5 * (a + b);
-}
-
 }  // namespace srm::mle

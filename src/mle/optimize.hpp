@@ -1,6 +1,6 @@
 // Derivative-free optimization: Nelder-Mead simplex with box constraints
-// (rejection by -inf objective outside the box) and golden-section line
-// search for 1-D problems. Used by the maximum-likelihood baseline.
+// (rejection by -inf objective outside the box). Used by the
+// maximum-likelihood baseline.
 #pragma once
 
 #include <functional>
@@ -32,9 +32,5 @@ OptimizeResult nelder_mead(const Objective& objective,
                            std::span<const double> lower,
                            std::span<const double> upper,
                            const NelderMeadOptions& options = {});
-
-/// Golden-section maximization of a unimodal 1-D function on [lo, hi].
-double golden_section_maximize(const std::function<double(double)>& objective,
-                               double lo, double hi, double tolerance = 1e-10);
 
 }  // namespace srm::mle

@@ -51,7 +51,7 @@ SweepResult run_sweep(const data::BugCountData& base,
   // pre-sized slot and the cell order is fixed before anything runs, so the
   // result is bit-identical to the serial sweep for any worker count.
   std::vector<core::ExperimentSpec> specs;
-  for (const auto& [prior, model] : sweep_grid(options.families)) {
+  for (const auto& [prior, model] : sweep_grid()) {
     SweepCell cell;
     cell.prior = prior;
     cell.model = model;
@@ -125,10 +125,10 @@ SweepResult run_sweep(const data::BugCountData& base,
   return sweep;
 }
 
-std::vector<std::pair<core::PriorKind, core::DetectionModelKind>> sweep_grid(
-    const std::vector<core::PriorKind>& families) {
+std::vector<std::pair<core::PriorKind, core::DetectionModelKind>>
+sweep_grid() {
   std::vector<std::pair<core::PriorKind, core::DetectionModelKind>> grid;
-  for (const auto prior : families) {
+  for (const auto prior : core::reproduction_family_kinds()) {
     for (const auto model : core::family(prior).selection_models) {
       grid.emplace_back(prior, model);
     }

@@ -22,11 +22,6 @@ struct SweepOptions {
   /// Baseline hyperprior configuration (upper limits); per-cell overrides
   /// can be installed with `set_override`.
   core::HyperPriorConfig base_config{};
-  /// Families in the sweep grid, in the order their cells are laid out.
-  /// Defaults to the registry's reproduction families (the paper's grid);
-  /// serialized omit-if-default so every pre-existing sweep identity keeps
-  /// its exact bytes.
-  std::vector<core::PriorKind> families = core::reproduction_family_kinds();
 
   /// One per-cell hyperprior override.
   struct Override {
@@ -94,12 +89,11 @@ SweepResult run_sweep(const data::BugCountData& base,
                       core::ObservationStore* store = nullptr,
                       SweepExecution* execution = nullptr);
 
-/// The (prior, detection model) cell layout of a sweep over `families`:
-/// each family's selection grid, families in the given order. run_sweep and
-/// the artifact store's directory layout both derive from this single
-/// function, so the two can never disagree on cell order.
-std::vector<std::pair<core::PriorKind, core::DetectionModelKind>> sweep_grid(
-    const std::vector<core::PriorKind>& families);
+/// The (prior, detection model) cell layout of a sweep: each reproduction
+/// family's selection grid, in registry order. run_sweep and the artifact
+/// store's directory layout both derive from this single function, so the
+/// two can never disagree on cell order.
+std::vector<std::pair<core::PriorKind, core::DetectionModelKind>> sweep_grid();
 
 /// The paper's SYS1 experimental setup with laptop-scale MCMC defaults:
 /// observation days {48,67,86,96,106,116,126,136,146}, eventual total 136,

@@ -2,20 +2,15 @@
 //
 // The chunk partition is a pure function of (n, grain) — it NEVER depends
 // on the worker count — so any computation expressed as "fill disjoint
-// slots per index" or "reduce per-chunk buffers in chunk order" produces
-// bit-identical results on 1 worker and on 64. This is the library's
-// determinism contract: parallelism changes wall-clock time, never output.
+// slots per index" produces bit-identical results on 1 worker and on 64.
+// This is the library's determinism contract: parallelism changes
+// wall-clock time, never output.
 //
 //   parallel_for(begin, end, fn)            fn(i) per index
-//   parallel_for_each(range, fn)            fn(range[i]) per element
 //   parallel_for_chunks(n, grain, fn)       fn(chunk, lo, hi) per chunk
-//   parallel_reduce(n, grain, init, f, c)   per-chunk buffers combined
-//                                           serially in ascending chunk order
 #pragma once
 
 #include <cstddef>
-#include <utility>
-#include <vector>
 
 #include "runtime/task_group.hpp"
 #include "runtime/thread_pool.hpp"
@@ -68,38 +63,6 @@ void parallel_for(std::size_t begin, std::size_t end, Fn&& fn,
         for (std::size_t i = lo; i < hi; ++i) fn(begin + i);
       },
       pool);
-}
-
-/// Invokes fn(element) for every element of a random-access range.
-template <typename Range, typename Fn>
-void parallel_for_each(Range&& range, Fn&& fn,
-                       std::size_t grain = kDefaultGrain,
-                       ThreadPool& pool = ThreadPool::global()) {
-  parallel_for(
-      0, static_cast<std::size_t>(range.size()),
-      [&](std::size_t i) { fn(range[i]); }, grain, pool);
-}
-
-/// Deterministic reduction: chunk_fn(lo, hi) produces one partial value per
-/// chunk; partials are combined with combine(acc, partial) serially in
-/// ascending chunk order, so floating-point rounding is identical for every
-/// worker count.
-template <typename T, typename ChunkFn, typename Combine>
-T parallel_reduce(std::size_t n, std::size_t grain, T init, ChunkFn&& chunk_fn,
-                  Combine&& combine, ThreadPool& pool = ThreadPool::global()) {
-  const std::size_t chunks = chunk_count(n, grain);
-  std::vector<T> partials(chunks, init);
-  parallel_for_chunks(
-      n, grain,
-      [&](std::size_t c, std::size_t lo, std::size_t hi) {
-        partials[c] = chunk_fn(lo, hi);
-      },
-      pool);
-  T result = std::move(init);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    result = combine(std::move(result), std::move(partials[c]));
-  }
-  return result;
 }
 
 }  // namespace srm::runtime

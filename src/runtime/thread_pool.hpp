@@ -14,9 +14,11 @@
 //   3. std::thread::hardware_concurrency().
 //
 // Determinism contract: the pool only decides *where* and *when* tasks run,
-// never what they compute. Constructs that need reproducible results
-// (parallel_reduce, SeedSequence) arrange their work so the outcome is
-// bit-identical for any worker count, including 1.
+// never what they compute. Work that needs reproducible results arranges
+// it so the outcome is bit-identical for any worker count, including 1:
+// SeedSequence substreams, and reductions only in the chain-order shard
+// merges of WaicAccumulator, ParameterStatsAccumulator and
+// ResidualAccumulator.
 #pragma once
 
 #include <condition_variable>

@@ -25,14 +25,9 @@ using support::Json;
 /// so the disk tier interoperates with sweep artifact directories.
 Json fit_envelope(const data::BugCountData& project,
                   const core::FitRequest& fit, const std::string& hash) {
-  Json cell = Json::Object{};
-  cell.set("schema_version", artifact::kSchemaVersion);
-  cell.set("hash", hash);
-  cell.set("prior", core::to_string(fit.prior));
-  cell.set("model", core::to_string(fit.model));
-  cell.set("observation_day", Json::from_unsigned(fit.observation_day));
-  cell.set("result", artifact::to_json(core::fit_cell(project, fit)));
-  return cell;
+  return artifact::cell_envelope(hash, fit.prior, fit.model,
+                                 fit.observation_day,
+                                 core::fit_cell(project, fit));
 }
 
 Json predict_envelope(const Request& request, const std::string& hash) {

@@ -31,27 +31,6 @@ double sample_variance(std::span<const double> values) {
   return m2 / static_cast<double>(n - 1);
 }
 
-double sample_sd(std::span<const double> values) {
-  return std::sqrt(sample_variance(values));
-}
-
-double quantile(std::span<const double> values, double p) {
-  SRM_EXPECTS(!values.empty(), "quantile requires a non-empty sample");
-  SRM_EXPECTS(p >= 0.0 && p <= 1.0, "quantile requires p in [0, 1]");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double h = p * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(h));
-  const auto hi = static_cast<std::size_t>(std::ceil(h));
-  if (lo == hi) return sorted[lo];
-  const double w = h - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - w) + sorted[hi] * w;
-}
-
-double median(std::span<const double> values) {
-  return quantile(values, 0.5);
-}
-
 FiveNumberSummary five_number_summary(std::span<const double> values) {
   SRM_EXPECTS(!values.empty(),
               "five_number_summary requires a non-empty sample");
@@ -152,21 +131,6 @@ double autocovariance(std::span<const double> values, std::size_t lag) {
     sum += (values[i] - m) * (values[i + lag] - m);
   }
   return sum / static_cast<double>(values.size());
-}
-
-double autocorrelation(std::span<const double> values, std::size_t lag) {
-  SRM_EXPECTS(values.size() > lag,
-              "autocorrelation requires more samples than the lag");
-  const double c0 = autocovariance(values, 0);
-  if (c0 <= 0.0) return lag == 0 ? 1.0 : 0.0;  // constant chain
-  return autocovariance(values, lag) / c0;
-}
-
-std::vector<double> to_doubles(std::span<const std::int64_t> values) {
-  std::vector<double> out;
-  out.reserve(values.size());
-  for (const std::int64_t v : values) out.push_back(static_cast<double>(v));
-  return out;
 }
 
 }  // namespace srm::stats

@@ -15,15 +15,6 @@ double mean(std::span<const double> values);
 /// Unbiased (n-1) sample variance; requires at least 2 values.
 double sample_variance(std::span<const double> values);
 
-/// sqrt(sample_variance).
-double sample_sd(std::span<const double> values);
-
-/// Type-7 (linear interpolation) quantile, p in [0, 1]. Sorts a copy.
-double quantile(std::span<const double> values, double p);
-
-/// Median = quantile(0.5).
-double median(std::span<const double> values);
-
 /// Five-number box-plot statistics with Tukey 1.5*IQR whiskers clipped to
 /// the observed range (matplotlib's default convention, as used in the
 /// paper's figures).
@@ -53,12 +44,5 @@ std::int64_t integer_quantile(std::span<const std::int64_t> values, double p);
 
 /// Lag-h sample autocovariance (denominator n, as standard in MCMC work).
 double autocovariance(std::span<const double> values, std::size_t lag);
-
-/// Lag-h autocorrelation = autocovariance(h) / autocovariance(0).
-double autocorrelation(std::span<const double> values, std::size_t lag);
-
-/// Converts integers to doubles (helper for feeding integer traces to the
-/// double-based diagnostics).
-std::vector<double> to_doubles(std::span<const std::int64_t> values);
 
 }  // namespace srm::stats

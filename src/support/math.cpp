@@ -305,40 +305,6 @@ double regularized_beta(double a, double b, double x) {
   return 1.0 - std::exp(log_front) * beta_continued_fraction(b, a, 1.0 - x) / b;
 }
 
-double inverse_regularized_beta(double a, double b, double p) {
-  SRM_EXPECTS(a > 0.0 && b > 0.0, "inverse_regularized_beta requires a, b > 0");
-  SRM_EXPECTS(p >= 0.0 && p <= 1.0,
-              "inverse_regularized_beta requires p in [0, 1]");
-  if (fp::is_zero(p)) return 0.0;
-  if (fp::is_one(p)) return 1.0;
-
-  // Bisection with Newton acceleration; the beta CDF is monotone on [0,1].
-  double lo = 0.0;
-  double hi = 1.0;
-  double x = a / (a + b);  // mean as the initial guess
-  const double log_b = log_beta(a, b);
-  for (int iter = 0; iter < 300; ++iter) {
-    const double f = regularized_beta(a, b, x) - p;
-    if (f > 0.0) {
-      hi = x;
-    } else {
-      lo = x;
-    }
-    if (std::abs(f) < 1e-14) break;
-    const double log_pdf =
-        (a - 1.0) * std::log(x) + (b - 1.0) * std::log1p(-x) - log_b;
-    const double dfdx = std::exp(log_pdf);
-    double next = (dfdx > 0.0) ? x - f / dfdx : x;
-    if (!(next > lo && next < hi)) next = 0.5 * (lo + hi);
-    if (std::abs(next - x) < 1e-15) {
-      x = next;
-      break;
-    }
-    x = next;
-  }
-  return x;
-}
-
 double normal_cdf(double z) {
   return 0.5 * std::erfc(-z / std::sqrt(2.0));
 }

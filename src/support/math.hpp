@@ -70,9 +70,6 @@ double inverse_regularized_gamma_p(double a, double p);
 /// Regularized incomplete beta I_x(a, b), a, b > 0, x in [0, 1].
 double regularized_beta(double a, double b, double x);
 
-/// Inverse of I_.(a, b): returns x with I_x(a, b) = p.
-double inverse_regularized_beta(double a, double b, double p);
-
 /// Standard normal CDF Phi(z).
 double normal_cdf(double z);
 

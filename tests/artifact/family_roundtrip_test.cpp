@@ -1,4 +1,4 @@
-// Serialization identity per model family: every registered family's spec
+// Serialization identity per model family: every registered family's cell
 // round-trips losslessly through the canonical JSON form, the omit-if-
 // default rules keep pre-registry artifact bytes unchanged, and unknown
 // family ids fail loudly with the accepted list.
@@ -22,44 +22,52 @@ srm::data::BugCountData toy() {
   return srm::data::BugCountData("toy", {1, 0, 2, 1, 3, 0, 1, 2, 0, 1});
 }
 
-core::ExperimentSpec spec_for(const core::ModelFamily& family) {
+srm::report::SweepCell cell_for(const core::ModelFamily& family) {
+  srm::report::SweepCell cell;
+  cell.prior = family.kind;
+  cell.model = family.default_model;
+  cell.config.limits.sb_shape_max = 35.0;
+  return cell;
+}
+
+/// The single-day spec a sweep runs for `cell` (report::run_sweep).
+core::ExperimentSpec spec_of(const srm::report::SweepCell& cell) {
   core::ExperimentSpec spec;
-  spec.prior = family.kind;
-  spec.model = family.default_model;
-  spec.gibbs.chain_count = 2;
-  spec.gibbs.burn_in = 100;
-  spec.gibbs.iterations = 400;
+  spec.prior = cell.prior;
+  spec.model = cell.model;
+  spec.config = cell.config;
   spec.gibbs.seed = 20240624;
-  spec.observation_days = {5, 8};
+  spec.observation_days = {5};
   spec.eventual_total = 12;
   return spec;
 }
 
 TEST(FamilyRoundTrip, EveryRegisteredFamilySpecSurvivesSerialization) {
   for (const auto& family : core::model_families().families()) {
-    const auto spec = spec_for(family);
-    const auto json = artifact::to_json(spec);
+    const auto cell = cell_for(family);
+    const auto json = artifact::to_json(cell);
     // The family's stable id is the serialized byte form.
     EXPECT_EQ(json.at("prior").as_string(), family.id);
 
     const auto parsed =
-        artifact::experiment_spec_from_json(Json::parse(json.dump()));
-    EXPECT_EQ(parsed.prior, spec.prior) << family.id;
-    EXPECT_EQ(parsed.model, spec.model) << family.id;
-    EXPECT_EQ(parsed.gibbs.seed, spec.gibbs.seed) << family.id;
+        artifact::sweep_cell_from_json(Json::parse(json.dump()));
+    EXPECT_EQ(parsed.prior, cell.prior) << family.id;
+    EXPECT_EQ(parsed.model, cell.model) << family.id;
+    EXPECT_EQ(parsed.config.limits.sb_shape_max, 35.0) << family.id;
     // Identity follows: the cell hash is a pure function of the canonical
-    // form, so a round-tripped spec addresses the same artifact.
-    EXPECT_EQ(artifact::cell_hash(toy(), parsed, 5),
-              artifact::cell_hash(toy(), spec, 5))
+    // form, so a round-tripped cell addresses the same artifact.
+    EXPECT_EQ(artifact::cell_hash(toy(), spec_of(parsed), 5),
+              artifact::cell_hash(toy(), spec_of(cell), 5))
         << family.id;
   }
 }
 
 TEST(FamilyRoundTrip, UnknownFamilyIdIsAStructuredParseError) {
-  auto json = artifact::to_json(spec_for(core::family(core::PriorKind::kPoisson)));
+  auto json =
+      artifact::to_json(cell_for(core::family(core::PriorKind::kPoisson)));
   json.set("prior", Json("klingon"));
   try {
-    artifact::experiment_spec_from_json(json);
+    (void)artifact::sweep_cell_from_json(json);
     FAIL() << "unknown family id must not parse";
   } catch (const srm::InvalidArgument& error) {
     // The message names the accepted ids so callers can self-correct.
@@ -92,33 +100,23 @@ TEST(FamilyRoundTrip, SizeBiasedLimitsAreOmittedAtDefaults) {
             core::DetectionModelLimits{}.sb_shape_max);
 }
 
-TEST(FamilyRoundTrip, SweepFamiliesAreOmittedAtTheReproductionDefault) {
-  // The default sweep grid (reproduction families) serializes without a
-  // "families" member — byte-identical to pre-registry sweep options.
+TEST(FamilyRoundTrip, SweepFamiliesMemberIsRejected) {
+  // A sweep always lays out the reproduction families, and the sweep hash
+  // never covered a "families" member, so options carrying one must not
+  // load as the default grid.
   srm::report::SweepOptions options;
   options.observation_days = {5};
   options.eventual_total = 11;
-  const auto stock = artifact::to_json(options).dump();
-  EXPECT_EQ(stock.find("families"), std::string::npos) << stock;
-  const auto restocked =
-      artifact::sweep_options_from_json(Json::parse(stock));
-  EXPECT_EQ(restocked.families, core::reproduction_family_kinds());
-
-  // A non-default grid round-trips through the id strings.
-  options.families = {core::PriorKind::kSizeBiased};
-  const auto widened = artifact::to_json(options).dump();
-  EXPECT_NE(widened.find("families"), std::string::npos);
-  EXPECT_NE(widened.find("sizebiased"), std::string::npos);
-  const auto parsed =
-      artifact::sweep_options_from_json(Json::parse(widened));
-  ASSERT_EQ(parsed.families.size(), 1u);
-  EXPECT_EQ(parsed.families.front(), core::PriorKind::kSizeBiased);
-
-  // Unknown names in the families array are loud.
-  auto json = Json::parse(widened);
-  json.set("families", Json(Json::Array{Json("klingon")}));
-  EXPECT_THROW(artifact::sweep_options_from_json(json),
-               srm::InvalidArgument);
+  auto json = artifact::to_json(options);
+  EXPECT_EQ(json.find("families"), nullptr);
+  json.set("families", Json(Json::Array{Json("sizebiased")}));
+  try {
+    (void)artifact::sweep_options_from_json(Json::parse(json.dump()));
+    FAIL() << "a families member must not load";
+  } catch (const srm::InvalidArgument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("families"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

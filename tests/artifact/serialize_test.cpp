@@ -249,22 +249,19 @@ TEST(ArtifactSerialize, SweepOptionsRoundTripWithOverrides) {
   EXPECT_TRUE(round_tripped.jeffreys_lambda0);
 }
 
-TEST(ArtifactSerialize, ExperimentSpecRoundTrip) {
-  core::ExperimentSpec spec;
-  spec.prior = core::PriorKind::kNegativeBinomial;
-  spec.model = core::DetectionModelKind::kLearningCurve;
-  spec.config.scheme = core::SamplerScheme::kVanilla;
-  spec.gibbs.seed = 12345;
-  spec.observation_days = {10, 20};
-  spec.eventual_total = 99;
-  const auto back = artifact::experiment_spec_from_json(
-      Json::parse(artifact::to_json(spec).dump()));
-  EXPECT_EQ(back.prior, spec.prior);
-  EXPECT_EQ(back.model, spec.model);
-  EXPECT_EQ(back.config.scheme, spec.config.scheme);
-  EXPECT_EQ(back.gibbs.seed, 12345u);
-  EXPECT_EQ(back.observation_days, spec.observation_days);
-  EXPECT_EQ(back.eventual_total, 99);
+TEST(ArtifactSerialize, SweepCellSpecRoundTrip) {
+  report::SweepCell cell;
+  cell.prior = core::PriorKind::kNegativeBinomial;
+  cell.model = core::DetectionModelKind::kLearningCurve;
+  cell.config.scheme = core::SamplerScheme::kVanilla;
+  cell.config.alpha_max = 42.5;
+  const auto back = artifact::sweep_cell_from_json(
+      Json::parse(artifact::to_json(cell).dump()));
+  EXPECT_EQ(back.prior, cell.prior);
+  EXPECT_EQ(back.model, cell.model);
+  EXPECT_EQ(back.config.scheme, cell.config.scheme);
+  EXPECT_TRUE(bits_equal(back.config.alpha_max, 42.5));
+  EXPECT_TRUE(back.results.empty());
 }
 
 TEST(ArtifactSerialize, UnknownNamesThrow) {

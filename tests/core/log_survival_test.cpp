@@ -1,7 +1,7 @@
 // Regression tests for the stable log-survival channel (the model5
-// underflow bug class): every detection model's log_survival must agree
-// with log1p(-p) where both are accurate, and must stay finite where the
-// naive route underflows to p == 1.
+// underflow bug class): every detection model's log_survivals_into must
+// agree with log1p(-p) where both are accurate, and must stay finite where
+// the naive route underflows to p == 1.
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -34,6 +34,7 @@ TEST_P(LogSurvivalAgreement, MatchesNaiveFormulaWhereAccurate) {
   const auto model = core::make_detection_model(GetParam());
   const core::DetectionModelLimits limits;
   const auto supports = model->parameter_supports(limits);
+  std::vector<double> log_q(60);
   for (double t1 = 0.15; t1 < 1.0; t1 += 0.2) {
     for (double t2 = 0.15; t2 < 1.0; t2 += 0.2) {
       std::vector<double> zeta;
@@ -42,11 +43,12 @@ TEST_P(LogSurvivalAgreement, MatchesNaiveFormulaWhereAccurate) {
         zeta.push_back(supports[j].lower +
                        ts[j] * (supports[j].upper - supports[j].lower));
       }
+      model->log_survivals_into(log_q.size(), zeta, log_q);
       for (std::size_t day = 1; day <= 60; day += 7) {
         const double p = model->probability(day, zeta);
         if (p > 0.999) continue;  // naive formula starts losing digits
         const double naive = std::log1p(-p);
-        EXPECT_NEAR(model->log_survival(day, zeta), naive,
+        EXPECT_NEAR(log_q[day - 1], naive,
                     1e-9 * (1.0 + std::abs(naive)))
             << model->name() << " day " << day;
       }
@@ -66,7 +68,9 @@ TEST(LogSurvival, StableWhereNaiveUnderflows) {
       core::make_detection_model(DetectionModelKind::kRayleigh);
   const std::vector<double> zeta{0.1};
   EXPECT_EQ(model5->probability(96, zeta), 1.0);  // demonstrates the trap
-  EXPECT_NEAR(model5->log_survival(96, zeta), 191.0 * std::log(0.1), 1e-9);
+  std::vector<double> log_q(96);
+  model5->log_survivals_into(log_q.size(), zeta, log_q);
+  EXPECT_NEAR(log_q.back(), 191.0 * std::log(0.1), 1e-9);
 }
 
 TEST(LogSurvival, ZetaKernelStaysFiniteUnderUnderflow) {
@@ -79,7 +83,8 @@ TEST(LogSurvival, ZetaKernelStaysFiniteUnderUnderflow) {
   std::vector<std::int64_t> counts(96, 1);
   const srm::data::BugCountData data("t", std::move(counts));
   const auto p = model5->probabilities(96, zeta);
-  const auto log_q = model5->log_survivals(96, zeta);
+  std::vector<double> log_q(96);
+  model5->log_survivals_into(log_q.size(), zeta, log_q);
   const double kernel =
       core::log_likelihood_zeta_kernel(data, 100, p, log_q);
   EXPECT_TRUE(std::isfinite(kernel));
@@ -96,7 +101,8 @@ TEST(LogSurvival, CollapsedBaseConsistentBetweenOverloads) {
   const std::vector<double> zeta{0.8, 0.3};
   const srm::data::BugCountData data("t", {2, 1, 0, 3});
   const auto p = model1->probabilities(4, zeta);
-  const auto log_q = model1->log_survivals(4, zeta);
+  std::vector<double> log_q(4);
+  model1->log_survivals_into(log_q.size(), zeta, log_q);
   EXPECT_NEAR(core::log_likelihood_collapsed_base(data, p),
               core::log_likelihood_collapsed_base(data, p, log_q), 1e-9);
 }

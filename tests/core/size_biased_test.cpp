@@ -63,6 +63,8 @@ TEST(SizeBiased, HazardMatchesTheLomaxClosedForms) {
   EXPECT_EQ(model->kind(), DetectionModelKind::kSizeBiasedMultinomial);
   EXPECT_EQ(model->parameter_count(), 2u);
   const std::vector<double> zeta = {1.7, 3.2};  // (shape, scale)
+  std::vector<double> log_q(40);
+  model->log_survivals_into(log_q.size(), zeta, log_q);
   double previous = 1.0;
   for (std::size_t day = 1; day <= 40; ++day) {
     const double shape = zeta[0];
@@ -75,7 +77,7 @@ TEST(SizeBiased, HazardMatchesTheLomaxClosedForms) {
     EXPECT_NEAR(p, expected, 1e-14) << "day " << day;
     EXPECT_LT(p, previous) << "hazard must decrease (big bugs first)";
     previous = p;
-    EXPECT_NEAR(model->log_survival(day, zeta),
+    EXPECT_NEAR(log_q[day - 1],
                 shape * (std::log(scale + static_cast<double>(day) - 1.0) -
                          std::log(scale + static_cast<double>(day))),
                 1e-14)

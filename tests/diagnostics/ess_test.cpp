@@ -11,7 +11,6 @@
 namespace {
 
 using srm::diagnostics::effective_sample_size;
-using srm::diagnostics::integrated_autocorrelation_time;
 
 TEST(Ess, IidChainHasEssNearN) {
   srm::random::Rng rng(1);
@@ -25,7 +24,7 @@ TEST(Ess, IidChainHasEssNearN) {
 
 TEST(Ess, Ar1ChainMatchesTheory) {
   // AR(1) with coefficient rho has integrated autocorrelation time
-  // (1 + rho) / (1 - rho).
+  // tau = (1 + rho) / (1 - rho), and ESS = n / tau.
   for (const double rho : {0.5, 0.9}) {
     srm::random::Rng rng(static_cast<std::uint64_t>(rho * 100));
     std::vector<double> chain;
@@ -35,7 +34,7 @@ TEST(Ess, Ar1ChainMatchesTheory) {
       x = rho * x + srm::random::sample_normal(rng);
       chain.push_back(x);
     }
-    const double tau = integrated_autocorrelation_time(chain);
+    const double tau = n / effective_sample_size(chain);
     const double expected = (1.0 + rho) / (1.0 - rho);
     EXPECT_NEAR(tau, expected, 0.25 * expected) << "rho=" << rho;
   }

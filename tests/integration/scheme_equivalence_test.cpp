@@ -39,7 +39,8 @@ SchemeEstimates estimate(core::PriorKind prior,
   gibbs.seed = 31415;
   const auto run = srm::mcmc::run_gibbs(model, gibbs);
   const auto residual = run.pooled("residual");
-  return {srm::stats::mean(residual), srm::stats::sample_sd(residual)};
+  return {srm::stats::mean(residual),
+          std::sqrt(srm::stats::sample_variance(residual))};
 }
 
 class SchemeEquivalence

@@ -1,4 +1,4 @@
-// Tests for the Nelder-Mead and golden-section optimizers.
+// Tests for the Nelder-Mead optimizer.
 #include "mle/optimize.hpp"
 
 #include <cmath>
@@ -12,7 +12,6 @@
 
 namespace {
 
-using srm::mle::golden_section_maximize;
 using srm::mle::nelder_mead;
 using srm::mle::NelderMeadOptions;
 
@@ -83,24 +82,6 @@ TEST(NelderMead, ValidatesArguments) {
   const std::vector<double> bad_upper{-1.0};
   EXPECT_THROW(nelder_mead(objective, start, lower, bad_upper),
                srm::InvalidArgument);
-}
-
-TEST(GoldenSection, FindsParabolaMaximum) {
-  const double x = golden_section_maximize(
-      [](double t) { return -(t - 1.7) * (t - 1.7); }, 0.0, 10.0);
-  EXPECT_NEAR(x, 1.7, 1e-7);
-}
-
-TEST(GoldenSection, MonotoneFunctionReturnsBoundary) {
-  const double x =
-      golden_section_maximize([](double t) { return t; }, 0.0, 4.0);
-  EXPECT_NEAR(x, 4.0, 1e-6);
-}
-
-TEST(GoldenSection, RejectsEmptyInterval) {
-  EXPECT_THROW(
-      golden_section_maximize([](double t) { return t; }, 1.0, 1.0),
-      srm::InvalidArgument);
 }
 
 }  // namespace
