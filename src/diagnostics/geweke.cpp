@@ -1,9 +1,9 @@
 #include "diagnostics/geweke.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
+#include "diagnostics/ess.hpp"
 #include "stats/summary.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
@@ -13,16 +13,7 @@ namespace srm::diagnostics {
 double spectral_variance_of_mean(std::span<const double> values) {
   SRM_EXPECTS(values.size() >= 4,
               "spectral variance requires at least 4 samples");
-  const auto n = static_cast<double>(values.size());
-  // Bartlett window with the common n^(1/2) truncation point.
-  const auto max_lag = static_cast<std::size_t>(std::floor(std::sqrt(n)));
-  double s0 = stats::autocovariance(values, 0);
-  for (std::size_t lag = 1; lag <= max_lag && lag < values.size(); ++lag) {
-    const double weight =
-        1.0 - static_cast<double>(lag) / static_cast<double>(max_lag + 1);
-    s0 += 2.0 * weight * stats::autocovariance(values, lag);
-  }
-  return std::max(s0, 0.0) / n;
+  return stats::autocovariance(values, 0) / effective_sample_size(values);
 }
 
 void require_geweke_draws(std::size_t draws_per_chain) {

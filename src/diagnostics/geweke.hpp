@@ -1,8 +1,11 @@
 // Geweke convergence diagnostic (Eq 30 of the paper, with the obvious typo
 // fixed): Z = (mean of the first n_A samples - mean of the last n_B samples)
-// divided by sqrt of the SUM of their variance estimates. The variances use
-// a spectral-density-at-zero estimate (Bartlett-windowed autocovariances),
-// matching coda/JAGS. |Z| < 1.96 is taken as evidence of stationarity.
+// divided by sqrt of the SUM of their variance estimates. Each window's
+// variance of the mean is its lag-0 autocovariance over its effective
+// sample size (Geyer's initial positive sequence, the estimator behind
+// every reported ESS). coda's geweke.diag takes the spectral density at
+// zero from an AR fit (spectrum0.ar) instead. |Z| < 1.96 is taken as
+// evidence of stationarity.
 #pragma once
 
 #include <cstddef>
@@ -14,11 +17,12 @@ struct GewekeResult {
   double z = 0.0;
   double first_mean = 0.0;
   double last_mean = 0.0;
-  double first_variance = 0.0;  ///< spectral variance of the first-window mean
+  double first_variance = 0.0;  ///< variance of the first-window mean
   double last_variance = 0.0;
 };
 
-/// Draws each Geweke window must hold for its spectral variance.
+/// Draws each Geweke window must hold for its variance estimate (the
+/// effective sample size's minimum).
 inline constexpr std::size_t kGewekeMinWindow = 4;
 
 /// Throws InvalidArgument unless a chain retaining `draws_per_chain` draws
@@ -43,9 +47,9 @@ GewekeResult geweke_from_windows(std::span<const double> first,
 /// The standard-normal 5% two-sided criterion used in the paper.
 inline constexpr double kGewekeThreshold = 1.96;
 
-/// Spectral density at frequency zero of `values`, estimated with a
-/// Bartlett (triangular) lag window of the given half-width; divides by n
-/// to estimate Var(sample mean). Exposed for testing.
+/// Var(sample mean) of `values`, i.e. the spectral density at frequency
+/// zero over n, estimated as autocovariance(0) / effective_sample_size.
+/// Exposed for testing.
 double spectral_variance_of_mean(std::span<const double> values);
 
 }  // namespace srm::diagnostics

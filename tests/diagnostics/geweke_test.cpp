@@ -69,6 +69,31 @@ TEST(Geweke, ZIsApproximatelyStandardNormalUnderH0) {
   EXPECT_NEAR(var, 1.0, 0.45);
 }
 
+TEST(Geweke, CalibratedOnAutocorrelatedChains) {
+  // Stationary AR(1) chains at rho = 0.8 with the default 250 / 1 250-draw
+  // windows: every chain has converged, so Z^2 should average about 1 and
+  // |Z| > 1.96 should flag about 5 % of them. A window variance that
+  // misses autocorrelation beyond its lag cut-off inflates both.
+  constexpr double kRho = 0.8;
+  constexpr int kReplicates = 2000;
+  std::vector<double> chain(2500);
+  double sum_sq = 0.0;
+  int flagged = 0;
+  for (int r = 0; r < kReplicates; ++r) {
+    srm::random::Rng rng(7000 + static_cast<std::uint64_t>(r));
+    double x = srm::random::sample_normal(rng) / std::sqrt(1.0 - kRho * kRho);
+    for (double& draw : chain) {
+      draw = x;
+      x = kRho * x + srm::random::sample_normal(rng);
+    }
+    const double z = geweke(chain).z;
+    sum_sq += z * z;
+    if (std::abs(z) > srm::diagnostics::kGewekeThreshold) ++flagged;
+  }
+  EXPECT_LT(sum_sq / kReplicates, 1.35);
+  EXPECT_LT(static_cast<double>(flagged) / kReplicates, 0.09);
+}
+
 TEST(Geweke, ConstantChainHasZeroZ) {
   const std::vector<double> chain(1000, 3.0);
   EXPECT_DOUBLE_EQ(geweke(chain).z, 0.0);
