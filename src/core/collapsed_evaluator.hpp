@@ -8,18 +8,25 @@
 //
 // A slice move changes one coordinate of zeta. An evaluator is built once
 // from the series and prepared once per coordinate update, so a probe pays
-// only for what that coordinate touches (derivations in DESIGN.md,
-// "Collapsed evaluator"):
+// only for what that coordinate touches. With e_i = s_k - s_i =
+// sum_{j>i} x_j and R_m = prod_{i<=m} q_i, summation by parts turns both
+// sums into products of factors in (0, 1] that are logged once:
+//
+//   base(zeta) = log prod_{x_j > 0} (p_j R_{j-1})^{x_j},   log Q = log R_k
+//
+// (derivations in DESIGN.md, "Collapsed evaluator"):
 //
 //   model0          O(1): s_k log mu + (sum_i (s_k - s_i)) log1p(-mu)
-//   model1          mu probe: one log1p per nonzero-count day;
-//                   theta probe: one log1p per day
-//   model2          one exp of the day exponent and one or two log1p per
-//                   day, log p_i = log1p(-mu) - log1p(t_i)
-//   model3          one expm1/exp + log per nonzero-count day, plus two
+//   model1          mu probe: one product over the nonzero-count days;
+//                   theta probe: one division per day
+//   model2          one division per day; a mu probe adds one exp per day,
+//                   a gamma probe reuses day powers prepared with mu
+//   model3          one expm1/exp per nonzero-count day, plus two
 //                   precomputed sums times log mu
 //   model4          mu probe: as model3 with prepared day exponents;
 //                   omega probe: day powers on nonzero-count days only
+//   multinomial     shape probe: one expm1/exp per nonzero-count day; scale
+//                   probe: one log1p more per nonzero-count day
 //   model5, model6  the channel evaluator (below)
 //
 // Accuracy contract: the sums agree with a long-double per-day evaluation
@@ -68,7 +75,8 @@ class CollapsedEvaluator {
 };
 
 /// The evaluator of `model` over `data`: the sufficient-statistic form for
-/// model0..model4, the channel evaluator for every other kind. `model`
+/// model0..model4 and the size-biased multinomial, the channel evaluator for
+/// model5 and model6. `model`
 /// must outlive it.
 std::unique_ptr<CollapsedEvaluator> make_collapsed_evaluator(
     const DetectionModel& model, const data::BugCountData& data);
