@@ -194,14 +194,6 @@ double log_sum_exp(std::span<const double> values) {
   return m + std::log(sum);
 }
 
-double log1mexp(double x) {
-  SRM_EXPECTS(x <= 0.0, "log1mexp requires x <= 0");
-  // Maechler (2012): switch point at -log 2 minimizes rounding error.
-  constexpr double kLog2 = 0.6931471805599453;
-  if (x > -kLog2) return std::log(-std::expm1(x));
-  return std::log1p(-std::exp(x));
-}
-
 double regularized_gamma_p(double a, double x) {
   SRM_EXPECTS(a > 0.0, "regularized_gamma_p requires a > 0");
   SRM_EXPECTS(x >= 0.0, "regularized_gamma_p requires x >= 0");

@@ -47,10 +47,6 @@ double log_sum_exp(double a, double b);
 /// log(sum_i exp(v_i)) without overflow; returns -inf for an empty span.
 double log_sum_exp(std::span<const double> values);
 
-/// log(1 - exp(x)) for x <= 0, accurate near both ends (Maechler's trick);
-/// -inf at x = 0.
-double log1mexp(double x);
-
 /// Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a),
 /// a > 0, x >= 0. Series expansion for x < a + 1, continued fraction
 /// otherwise.
