@@ -18,16 +18,10 @@ double log_pointwise_likelihood(const data::BugCountData& data,
   SRM_EXPECTS(day >= 1 && day <= data.days(), "day out of range");
   SRM_EXPECTS(probabilities.size() >= data.days(),
               "need a probability for every testing day");
-  const std::int64_t remaining_before =
-      initial_bugs - data.cumulative_through(day - 1);
-  const std::int64_t x = data.count_on_day(day);
-  if (remaining_before < x || x < 0) return kNegInf;
   const double p = probabilities[day - 1];
-  if (p <= 0.0) return x == 0 ? 0.0 : kNegInf;
-  if (p >= 1.0) return x == remaining_before ? 0.0 : kNegInf;
-  return math::log_binomial(remaining_before, x) +
-         static_cast<double>(x) * std::log(p) +
-         static_cast<double>(remaining_before - x) * std::log1p(-p);
+  return log_day_likelihood(initial_bugs - data.cumulative_through(day - 1),
+                            data.count_on_day(day), p,
+                            p >= 1.0 ? kNegInf : std::log1p(-p));
 }
 
 double log_likelihood(const data::BugCountData& data,
