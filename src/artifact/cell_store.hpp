@@ -23,7 +23,7 @@ namespace srm::artifact {
 /// Artifact directory schema version; bumped on any layout or
 /// serialization change so stale directories fail loudly instead of being
 /// misread.
-inline constexpr std::int64_t kSchemaVersion = 6;
+inline constexpr std::int64_t kSchemaVersion = 7;
 
 /// A well-formed cell written under another kSchemaVersion: this build
 /// must not read it, but it is not corrupt either (CellStore::load).

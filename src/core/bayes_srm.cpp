@@ -35,18 +35,18 @@ double interior_uniform(random::Rng& rng, double lo, double hi) {
   return rng.uniform(lo + margin, hi - margin);
 }
 
-// The collapsed zeta kernel (DESIGN.md, Multimodality). Burn-in scans end
-// with kBoxJumps prior-box proposals; the kernel frozen at the end of
-// burn-in ends with kMixtureJumps proposals from the defensive mixture
-// kMixtureBoxWeight * Uniform(box) + (1 - kMixtureBoxWeight) * N(m, 4 Sigma)
-// in scaled-logit coordinates, keeping the prior-box proposals only where
-// burn-in accepted at least kMinBoxAcceptance of them, and slices each
-// coordinate with kWidthFactor times its mean burn-in move.
+// The collapsed zeta kernel (DESIGN.md, Multimodality). Burn-in scans
+// slice each coordinate and end with kBoxJumps prior-box proposals. The
+// kernel frozen at the end of burn-in replaces the coordinate slices with
+// one elliptical slice move against N(m, 4 Sigma) in scaled-logit
+// coordinates, keeps the prior-box proposals only where burn-in accepted at
+// least kMinBoxAcceptance of them, and ends with kMixtureJumps proposals
+// from the defensive mixture
+// kMixtureBoxWeight * Uniform(box) + (1 - kMixtureBoxWeight) * N(m, 4 Sigma).
 constexpr int kBoxJumps = 5;
 constexpr int kMixtureJumps = 2;
 constexpr double kMixtureBoxWeight = 0.2;
 constexpr double kMixtureScale = 2.0;  // sd multiplier: covariance 4 Sigma
-constexpr double kWidthFactor = 4.0;
 constexpr double kMinBoxAcceptance = 0.01;
 // The fit reads the second half of the burn-in scans, at most the last
 // kRecordRows of them, and needs kMinFitRows.
@@ -56,6 +56,12 @@ constexpr std::size_t kMinFitRows = 10;
 // u = log((z - lo) / (hi - z)), the scaled logit of z in (lo, hi).
 double scaled_logit(double z, const ParameterSupport& support) {
   return std::log(z - support.lower) - std::log(support.upper - z);
+}
+
+// Its inverse; rounds onto a bound where |u| is large.
+double inverse_scaled_logit(double u, const ParameterSupport& support) {
+  return support.lower +
+         (support.upper - support.lower) / (1.0 + std::exp(-u));
 }
 }  // namespace
 
@@ -88,6 +94,7 @@ BayesianSrm::Workspace::Workspace(const BayesianSrm& model)
       probe(model.model_->parameter_count(), 0.0),
       proposal(model.model_->parameter_count(), 0.0),
       offset(model.model_->parameter_count(), 0.0),
+      ellipse(3 * model.model_->parameter_count(), 0.0),
       probabilities(model.data_.days(), 0.0),
       log_survivals(model.data_.days(), 0.0) {}
 
@@ -387,16 +394,7 @@ double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
   // initial states and pointwise scoring never need one.
   if (!ws.evaluator) ws.evaluator = make_collapsed_evaluator(*model_, data_);
   auto& evaluator = *ws.evaluator;
-  // This scan's burn-in record row, or none once the kernel is frozen.
   const bool frozen = ws.kernel_frozen();
-  const std::size_t row_width = 2 * d + 1;
-  if (!frozen && !ws.record) {
-    ws.record =
-        std::make_unique_for_overwrite<double[]>(kRecordRows * row_width);
-  }
-  double* const row =
-      frozen ? nullptr
-             : &ws.record[(ws.recorded_scans % kRecordRows) * row_width];
 
   // Each distinct zeta is evaluated once: `current` holds the sums at the
   // state's zeta, and every accepted move carries its probe's sums along.
@@ -409,47 +407,8 @@ double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
                        : thinned_beta(state[2], std::exp(current.log_survival));
   double current_density = collapsed_density(current, thinned);
 
-  for (std::size_t j = 0; j < d; ++j) {
-    const auto& support = zeta_supports_[j];
-    evaluator.prepare(zeta, j);
-    double probed = 0.0;
-    CollapsedSums probed_sums;
-    const auto log_density = [&](double value) {
-      if (value <= support.lower || value >= support.upper) return kNegInf;
-      probed = value;
-      probed_sums = evaluator.probe(value);
-      return collapsed_density(probed_sums, thinned);
-    };
-    mcmc::SliceOptions options;
-    options.lower = support.lower;
-    options.upper = support.upper;
-    options.initial_width = frozen ? ws.slice_widths[j]
-                                   : (support.upper - support.lower) / 10.0;
-    const double x0 =
-        std::clamp(zeta[j], support.lower + 1e-12, support.upper - 1e-12);
-    if (!fp::exactly(x0, zeta[j])) {
-      current_density = log_density(x0);
-      current = probed_sums;
-    }
-    const auto draw =
-        mcmc::slice_sample(rng, x0, current_density, log_density, options);
-    // An accepted draw is the last point probed; a collapsed bracket
-    // returns x0, whose sums `current` already holds.
-    if (fp::exactly(draw.x, probed)) current = probed_sums;
-    current_density = draw.log_density;
-    if (row != nullptr) row[d + j] = std::abs(draw.x - x0);
-    zeta[j] = draw.x;
-    state[zeta_offset() + j] = draw.x;
-  }
-
-  // Mode-jump moves: component-wise slice sampling cannot cross between
-  // well-separated posterior modes (model2's (mu, gamma) surface is
-  // genuinely multimodal on some datasets) and crawls along ridges (the
-  // size-biased channel fits the early days almost equally well anywhere
-  // on shape * log(1 + 1/scale) = const), so the scan ends with
-  // independence-Metropolis proposals that target the same collapsed
-  // marginal. Each attempt's weight is log pi - log q, so the MH ratio
-  // carries q(x) / q(y); a prior-box proposal's q cancels.
+  // Whole-vector moves propose into `proposal` and install it on
+  // acceptance with its sums.
   auto& proposal = ws.proposal;
   CollapsedSums proposed;
   const auto commit = [&] {
@@ -468,6 +427,76 @@ double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
     proposed = evaluator.evaluate(proposal);
     return collapsed_density(proposed, thinned);
   };
+
+  if (frozen) {
+    // One elliptical slice move in u = scaled logit of zeta against the
+    // mixture's Gaussian component N(m, 4 Sigma). In u the target is
+    // N(u; m, 4 Sigma) times pi(zeta) / g(zeta), with g that component's
+    // density in zeta (logit Jacobian included), so the move's log
+    // likelihood is the collapsed density minus log g.
+    const auto u = std::span<double>(ws.ellipse).first(d);
+    for (std::size_t j = 0; j < d; ++j) {
+      u[j] = scaled_logit(zeta[j], zeta_supports_[j]);
+    }
+    double density = current_density;
+    const auto draw = mcmc::elliptical_slice(
+        rng, u, current_density - gaussian_log_density(zeta, ws),
+        ws.jump_mean, ws.jump_factor,
+        [&](std::span<const double> point) {
+          for (std::size_t j = 0; j < d; ++j) {
+            proposal[j] = inverse_scaled_logit(point[j], zeta_supports_[j]);
+          }
+          density = evaluate_proposal();
+          if (density == kNegInf) return kNegInf;
+          return density - gaussian_log_density(proposal, ws);
+        },
+        std::span<double>(ws.ellipse).subspan(d));
+    // An accepted point is the last one evaluated.
+    if (draw.moved) {
+      commit();
+      current_density = density;
+    }
+  } else {
+    for (std::size_t j = 0; j < d; ++j) {
+      const auto& support = zeta_supports_[j];
+      evaluator.prepare(zeta, j);
+      double probed = 0.0;
+      CollapsedSums probed_sums;
+      const auto log_density = [&](double value) {
+        if (value <= support.lower || value >= support.upper) return kNegInf;
+        probed = value;
+        probed_sums = evaluator.probe(value);
+        return collapsed_density(probed_sums, thinned);
+      };
+      mcmc::SliceOptions options;
+      options.lower = support.lower;
+      options.upper = support.upper;
+      options.initial_width = (support.upper - support.lower) / 10.0;
+      const double x0 =
+          std::clamp(zeta[j], support.lower + 1e-12, support.upper - 1e-12);
+      if (!fp::exactly(x0, zeta[j])) {
+        current_density = log_density(x0);
+        current = probed_sums;
+      }
+      const auto draw =
+          mcmc::slice_sample(rng, x0, current_density, log_density, options);
+      // An accepted draw is the last point probed; a collapsed bracket
+      // returns x0, whose sums `current` already holds.
+      if (fp::exactly(draw.x, probed)) current = probed_sums;
+      current_density = draw.log_density;
+      zeta[j] = draw.x;
+      state[zeta_offset() + j] = draw.x;
+    }
+  }
+
+  // Mode-jump moves: component-wise slice sampling cannot cross between
+  // well-separated posterior modes (model2's (mu, gamma) surface is
+  // genuinely multimodal on some datasets) and crawls along ridges (the
+  // size-biased channel fits the early days almost equally well anywhere
+  // on shape * log(1 + 1/scale) = const), so the scan ends with
+  // independence-Metropolis proposals that target the same collapsed
+  // marginal. Each attempt's weight is log pi - log q, so the MH ratio
+  // carries q(x) / q(y); a prior-box proposal's q cancels.
   const auto draw_from_box = [&](random::Rng& proposal_rng) {
     for (std::size_t j = 0; j < d; ++j) {
       proposal[j] = proposal_rng.uniform(zeta_supports_[j].lower,
@@ -488,6 +517,10 @@ double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
       });
 
   if (frozen) {
+    const auto mixture_log_density = [&](std::span<const double> point) {
+      return math::log_sum_exp(ws.jump_log_box,
+                               gaussian_log_density(point, ws));
+    };
     // u = m + F z with F the factor of 4 Sigma, mapped back into the box.
     const auto draw_from_gaussian = [&](random::Rng& proposal_rng) {
       auto& z = ws.offset;
@@ -499,14 +532,11 @@ double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
         for (std::size_t k = 0; k <= i; ++k) {
           u += ws.jump_factor[i * d + k] * z[k];
         }
-        const auto& support = zeta_supports_[i];
-        proposal[i] = support.lower +
-                      (support.upper - support.lower) / (1.0 + std::exp(-u));
+        proposal[i] = inverse_scaled_logit(u, zeta_supports_[i]);
       }
     };
     mcmc::independence_metropolis(
-        rng, kMixtureJumps,
-        current_density - mixture_log_density(zeta, ws),
+        rng, kMixtureJumps, current_density - mixture_log_density(zeta),
         [&](random::Rng& proposal_rng) {
           if (proposal_rng.uniform() < kMixtureBoxWeight) {
             draw_from_box(proposal_rng);
@@ -515,12 +545,20 @@ double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
           }
           const double density = evaluate_proposal();
           if (density == kNegInf) return kNegInf;
-          return density - mixture_log_density(proposal, ws);
+          return density - mixture_log_density(proposal);
         },
         commit);
   } else {
+    // This scan's burn-in record row: zeta after the scan, then the
+    // accepted box jumps.
+    if (!ws.record) {
+      ws.record =
+          std::make_unique_for_overwrite<double[]>(kRecordRows * (d + 1));
+    }
+    double* const row =
+        &ws.record[(ws.recorded_scans % kRecordRows) * (d + 1)];
     std::copy(zeta.begin(), zeta.end(), row);
-    row[2 * d] = box_accepted;
+    row[d] = box_accepted;
     ++ws.recorded_scans;
   }
 
@@ -531,8 +569,8 @@ double BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
   return survival;
 }
 
-double BayesianSrm::mixture_log_density(std::span<const double> zeta,
-                                        Workspace& ws) const {
+double BayesianSrm::gaussian_log_density(std::span<const double> zeta,
+                                         Workspace& ws) const {
   // The Gaussian component's density in zeta is its density in u times
   // the Jacobian prod_j (hi_j - lo_j) / ((z_j - lo_j)(hi_j - z_j)); the
   // constant factors are in jump_log_gauss. Forward substitution turns
@@ -550,14 +588,14 @@ double BayesianSrm::mixture_log_density(std::span<const double> zeta,
     z[i] = r / ws.jump_factor[i * d + i];
     log_gauss -= 0.5 * z[i] * z[i];
   }
-  return math::log_sum_exp(ws.jump_log_box, log_gauss);
+  return log_gauss;
 }
 
 void BayesianSrm::end_burn_in(mcmc::GibbsWorkspace* workspace) const {
   auto* ws = dynamic_cast<Workspace*>(workspace);
   if (ws == nullptr || !ws->record || ws->kernel_frozen()) return;
   const std::size_t d = zeta_supports_.size();
-  const std::size_t width = 2 * d + 1;
+  const std::size_t width = d + 1;
   const std::size_t scans = ws->recorded_scans;
   const std::size_t rows = std::min(scans - scans / 2, kRecordRows);
   if (rows < kMinFitRows) return;
@@ -565,25 +603,21 @@ void BayesianSrm::end_burn_in(mcmc::GibbsWorkspace* workspace) const {
     return ws->record.get() + ((scans - rows + r) % kRecordRows) * width;
   };
 
-  // Means of u, |delta zeta| and the box acceptances over the rows.
+  // Means of u and the box acceptances over the rows.
   std::vector<double> mean(d, 0.0);
-  std::vector<double> moves(d, 0.0);
   double box_accepted = 0.0;
   for (std::size_t r = 0; r < rows; ++r) {
     const double* row = row_of(r);
     for (std::size_t j = 0; j < d; ++j) {
       mean[j] += scaled_logit(row[j], zeta_supports_[j]);
-      moves[j] += row[d + j];
     }
-    box_accepted += row[2 * d];
+    box_accepted += row[d];
   }
   const auto n = static_cast<double>(rows);
-  for (std::size_t j = 0; j < d; ++j) {
-    mean[j] /= n;
-    moves[j] /= n;
-  }
+  for (std::size_t j = 0; j < d; ++j) mean[j] /= n;
   // Covariance of u, then the Cholesky factor of 4 Sigma; a pivot that is
-  // not positive means the burn-in cannot support the Gaussian.
+  // not positive means the burn-in cannot support the Gaussian (a
+  // coordinate that never moved gives a zero one).
   std::vector<double> factor(d * d, 0.0);
   for (std::size_t r = 0; r < rows; ++r) {
     const double* row = row_of(r);
@@ -612,10 +646,6 @@ void BayesianSrm::end_burn_in(mcmc::GibbsWorkspace* workspace) const {
       }
     }
   }
-  // A coordinate whose slice moves never moved cannot size its width.
-  for (std::size_t j = 0; j < d; ++j) {
-    if (!(moves[j] > 0.0)) return;
-  }
 
   constexpr double kLog2Pi = 1.8378770664093453;
   double log_gauss = std::log1p(-kMixtureBoxWeight) -
@@ -626,7 +656,6 @@ void BayesianSrm::end_burn_in(mcmc::GibbsWorkspace* workspace) const {
         std::log(zeta_supports_[j].upper - zeta_supports_[j].lower);
     log_gauss += log_width - std::log(factor[j * d + j]);
     log_box -= log_width;
-    moves[j] *= kWidthFactor;
   }
   ws->jump_mean = std::move(mean);
   ws->jump_factor = std::move(factor);
@@ -634,7 +663,6 @@ void BayesianSrm::end_burn_in(mcmc::GibbsWorkspace* workspace) const {
   ws->jump_log_box = log_box;
   ws->box_jumps =
       box_accepted >= kMinBoxAcceptance * kBoxJumps * n ? kBoxJumps : 0;
-  ws->slice_widths = std::move(moves);
 }
 
 std::int64_t BayesianSrm::initial_bugs_of(

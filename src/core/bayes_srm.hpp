@@ -23,6 +23,8 @@
 //     zeta_j | N, x     — slice sampling
 //   The default collapsed scheme integrates R out of the other moves; its
 //   NB zeta block holds beta' = beta0 / (1 - (1-beta0) Q) fixed (DESIGN.md).
+//   After burn-in its zeta block moves jointly, by one elliptical slice
+//   move, instead of one coordinate at a time.
 //
 // State vector layout (also the parameter-name order):
 //   Poisson bug content:  [residual, lambda0, zeta...]
@@ -62,7 +64,7 @@ class BayesianSrm final : public SrmModel {
     explicit Workspace(const BayesianSrm& model);
 
     /// True once end_burn_in() froze the post-burn-in kernel here.
-    [[nodiscard]] bool kernel_frozen() const { return !slice_widths.empty(); }
+    [[nodiscard]] bool kernel_frozen() const { return !jump_factor.empty(); }
 
    private:
     friend class BayesianSrm;
@@ -70,6 +72,7 @@ class BayesianSrm final : public SrmModel {
     std::vector<double> probe;          ///< zeta with one coordinate probed
     std::vector<double> proposal;       ///< mode-jump candidate
     std::vector<double> offset;         ///< mixture-jump normal draw
+    std::vector<double> ellipse;        ///< elliptical move: u, nu, u'
     std::vector<double> probabilities;  ///< p_1..p_k channel
     std::vector<double> log_survivals;  ///< log q_1..log q_k channel
     /// Data sums of the collapsed zeta-density, prepared per coordinate;
@@ -78,16 +81,15 @@ class BayesianSrm final : public SrmModel {
 
     /// Burn-in record of the collapsed scan, allocated by its first scan:
     /// one row per scan for the last 1 024 scans, each holding zeta after
-    /// the scan, every slice move's |delta zeta_j| and the count of
-    /// accepted prior-box jumps.
+    /// the scan and the count of accepted prior-box jumps.
     std::unique_ptr<double[]> record;
     std::size_t recorded_scans = 0;
 
-    /// The frozen kernel; every vector stays empty until end_burn_in().
-    std::vector<double> slice_widths;  ///< per zeta coordinate
-    /// Mixture jump: Gaussian mean m and lower Cholesky factor of 4 Sigma
-    /// (row-major) in scaled-logit coordinates, and the log constants of
-    /// both mixture components' densities in zeta.
+    /// The frozen kernel; both vectors stay empty until end_burn_in().
+    /// Gaussian mean m and lower Cholesky factor of 4 Sigma (row-major) in
+    /// scaled-logit coordinates, shared by the elliptical move and the
+    /// mixture jump, and the log constants of both mixture components'
+    /// densities in zeta.
     std::vector<double> jump_mean;
     std::vector<double> jump_factor;
     double jump_log_gauss = 0.0;
@@ -174,9 +176,10 @@ class BayesianSrm final : public SrmModel {
   [[nodiscard]] double update_zeta_collapsed(std::vector<double>& state,
                                              random::Rng& rng,
                                              Workspace& workspace) const;
-  /// log q(zeta) of the frozen mixture-jump proposal density.
-  [[nodiscard]] double mixture_log_density(std::span<const double> zeta,
-                                           Workspace& workspace) const;
+  /// log of the frozen mixture's Gaussian component, weight included, as a
+  /// density in zeta: N(u; m, 4 Sigma) times the logit Jacobian.
+  [[nodiscard]] double gaussian_log_density(std::span<const double> zeta,
+                                            Workspace& workspace) const;
   /// Collapsed marginal log-density of zeta from base(zeta) and
   /// log Q = sum_i log q_i: lambda0 integrated out (Poisson), or at fixed
   /// (alpha0, beta' = `thinned`) (NB).

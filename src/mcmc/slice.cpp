@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 
+#include "random/samplers.hpp"
 #include "support/error.hpp"
 
 namespace srm::mcmc {
@@ -72,6 +74,52 @@ SliceDraw slice_sample(random::Rng& rng, double x0, double log_density_x0,
   // density is a spike; keeping the current state preserves correctness
   // (a no-op move is a valid MCMC transition).
   return {x0, f0};
+}
+
+EllipticalDraw elliptical_slice(random::Rng& rng, std::span<double> x,
+                                double log_likelihood_x,
+                                std::span<const double> mean,
+                                std::span<const double> factor,
+                                VectorLogDensityRef log_likelihood,
+                                std::span<double> scratch, int max_shrink) {
+  const std::size_t d = x.size();
+  SRM_EXPECTS(mean.size() == d && factor.size() == d * d &&
+                  scratch.size() >= 2 * d,
+              "elliptical_slice requires a d-vector mean, a d x d factor "
+              "and 2d scratch values");
+  SRM_EXPECTS(std::isfinite(log_likelihood_x),
+              "elliptical_slice requires finite log likelihood at x");
+  const auto nu = scratch.first(d);
+  const auto proposal = scratch.subspan(d, d);
+
+  // nu = L z, computed in place from the last row up: row i reads z_0..z_i.
+  for (std::size_t i = 0; i < d; ++i) nu[i] = random::sample_normal(rng);
+  for (std::size_t i = d; i-- > 0;) {
+    double sum = 0.0;
+    for (std::size_t k = 0; k <= i; ++k) sum += factor[i * d + k] * nu[k];
+    nu[i] = sum;
+  }
+  const double log_y = log_likelihood_x + std::log(rng.uniform_open());
+  constexpr double kTwoPi = 2.0 * std::numbers::pi;
+  double theta = rng.uniform(0.0, kTwoPi);
+  double left = theta - kTwoPi;
+  double right = theta;
+  for (int iter = 0; iter < max_shrink; ++iter) {
+    const double c = std::cos(theta);
+    const double s = std::sin(theta);
+    for (std::size_t i = 0; i < d; ++i) {
+      proposal[i] = mean[i] + (x[i] - mean[i]) * c + nu[i] * s;
+    }
+    const double f = log_likelihood(proposal);
+    if (f > log_y) {
+      std::copy(proposal.begin(), proposal.end(), x.begin());
+      return {true, f};
+    }
+    // Shrink toward theta = 0, the current state, which is on the slice.
+    (theta < 0.0 ? left : right) = theta;
+    theta = rng.uniform(left, right);
+  }
+  return {false, log_likelihood_x};
 }
 
 }  // namespace srm::mcmc

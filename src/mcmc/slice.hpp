@@ -5,12 +5,18 @@
 // (mu, theta, gamma, omega) and the negative-binomial shape alpha_0, whose
 // full conditionals are log-concave-ish but nonstandard.
 //
+// Beside it, the elliptical slice move (Murray, Adams & MacKay 2010) moves
+// a whole vector at once along an ellipse of a Gaussian reference, with no
+// width to tune; the collapsed zeta-scan runs it once its kernel is frozen.
+//
 // The density is taken by support::function_ref: the sampler is called
 // thousands of times per Gibbs scan with a fresh closure each time, and a
 // std::function parameter would heap-allocate and type-erase every one of
 // them. The closure only needs to live for the duration of the call, which
 // is exactly what function_ref expresses.
 #pragma once
+
+#include <span>
 
 #include "random/rng.hpp"
 #include "support/function_ref.hpp"
@@ -54,5 +60,36 @@ double slice_sample(random::Rng& rng, double x0, LogDensityRef log_density,
 /// can chain coordinate moves without re-evaluating each starting point.
 SliceDraw slice_sample(random::Rng& rng, double x0, double log_density_x0,
                        LogDensityRef log_density, const SliceOptions& options);
+
+/// Signature of a log-likelihood evaluation at a point of R^d.
+using VectorLogDensityRef =
+    support::function_ref<double(std::span<const double>)>;
+
+/// An elliptical slice move's outcome: whether the state moved, and the log
+/// likelihood at the final state.
+struct EllipticalDraw {
+  bool moved = false;
+  double log_likelihood = 0.0;
+};
+
+/// One elliptical slice move targeting N(x; mean, L L^T) exp(log_likelihood)
+/// from `x`, whose log likelihood `log_likelihood_x` must be finite. `factor`
+/// holds the lower Cholesky factor L, row-major d x d; `scratch` holds 2d
+/// doubles the move overwrites. The move draws nu = L z, sets the level
+/// log y = log_likelihood_x + log U, and proposes
+/// x' = mean + (x - mean) cos theta + nu sin theta with theta uniform on a
+/// bracket that starts as [theta0 - 2 pi, theta0] and shrinks toward 0
+/// after each rejection, until log_likelihood(x') > log y; `x` then holds
+/// x'. After `max_shrink` rejections it keeps `x`. The proposal span passed
+/// to `log_likelihood` lives in `scratch`, and an accepted x' is the last
+/// point it was called at. RNG use: d normals, 2 uniforms, then one
+/// uniform per rejection.
+EllipticalDraw elliptical_slice(random::Rng& rng, std::span<double> x,
+                                double log_likelihood_x,
+                                std::span<const double> mean,
+                                std::span<const double> factor,
+                                VectorLogDensityRef log_likelihood,
+                                std::span<double> scratch,
+                                int max_shrink = SliceOptions{}.max_shrink);
 
 }  // namespace srm::mcmc

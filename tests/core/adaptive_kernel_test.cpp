@@ -1,6 +1,7 @@
 // The collapsed scan's adaptive burn-in: BayesianSrm::end_burn_in fits the
-// post-burn-in zeta kernel from the second half of burn-in and freezes it
-// into the chain's workspace (DESIGN.md, Multimodality). These tests pin
+// post-burn-in zeta kernel (one elliptical slice move and the mode jumps,
+// all on the burn-in Gaussian) from the second half of burn-in and freezes
+// it into the chain's workspace (DESIGN.md, Multimodality). These tests pin
 // when it freezes, that the frozen kernel is per chain, and that it keeps
 // targeting the collapsed posterior. The burn-in kernel's digests are
 // pinned in tests/mcmc/golden_trace_test.cpp (AdaptiveKernelBurnIn).
@@ -120,8 +121,9 @@ TEST(AdaptiveKernel, SerialAndParallelChainsAgree) {
 }
 
 TEST(AdaptiveKernel, FrozenChainsStayInsideTheSupport) {
-  // The mixture proposal maps Gaussian draws through the scaled logit; a
-  // draw that rounds onto a bound must be rejected, never accepted.
+  // The elliptical move and the mixture proposal map Gaussian points
+  // through the scaled logit; a point that rounds onto a bound must be
+  // rejected, never accepted.
   for (const auto kind :
        {DetectionModelKind::kConstant, DetectionModelKind::kPadgettSpurrier,
         DetectionModelKind::kLogLogistic, DetectionModelKind::kPareto,
