@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "support/error.hpp"
 #include "support/fp.hpp"
@@ -69,6 +68,18 @@ FiveNumberSummary five_number_summary(std::span<const double> values) {
   return s;
 }
 
+namespace {
+
+// Smallest value of an ascending sample whose empirical CDF reaches p.
+std::int64_t sorted_quantile(std::span<const std::int64_t> sorted, double p) {
+  if (fp::is_one(p)) return sorted.back();
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(p * static_cast<double>(sorted.size())));
+  return sorted[rank == 0 ? 0 : rank - 1];
+}
+
+}  // namespace
+
 IntegerSampleSummary summarize_integers(
     std::span<const std::int64_t> values) {
   SRM_EXPECTS(!values.empty(),
@@ -79,33 +90,34 @@ IntegerSampleSummary summarize_integers(
   double running_mean = 0.0;
   double m2 = 0.0;
   std::size_t n = 0;
-  std::unordered_map<std::int64_t, std::size_t> frequency;
-  s.min = values.front();
-  s.max = values.front();
   for (const std::int64_t v : values) {
     ++n;
     const double d = static_cast<double>(v);
     const double delta = d - running_mean;
     running_mean += delta / static_cast<double>(n);
     m2 += delta * (d - running_mean);
-    ++frequency[v];
-    s.min = std::min(s.min, v);
-    s.max = std::max(s.max, v);
   }
   s.mean = running_mean;
   s.sd = values.size() >= 2
              ? std::sqrt(m2 / static_cast<double>(values.size() - 1))
              : 0.0;
 
-  s.mode = s.min;
+  // One sorted copy gives the range, the median and the mode: the longest
+  // run of equal values, the first (smallest) on ties.
+  std::vector<std::int64_t> sorted(values.begin(), values.end());
+  std::sort(sorted.begin(), sorted.end());
+  s.min = sorted.front();
+  s.max = sorted.back();
+  s.median = sorted_quantile(sorted, 0.5);
   std::size_t best = 0;
-  for (const auto& [value, count] : frequency) {
-    if (count > best || (count == best && value < s.mode)) {
-      best = count;
-      s.mode = value;
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    run = i > 0 && sorted[i] == sorted[i - 1] ? run + 1 : 1;
+    if (run > best) {
+      best = run;
+      s.mode = sorted[i];
     }
   }
-  s.median = integer_quantile(values, 0.5);
   return s;
 }
 
@@ -115,11 +127,7 @@ std::int64_t integer_quantile(std::span<const std::int64_t> values,
   SRM_EXPECTS(p >= 0.0 && p <= 1.0, "integer_quantile requires p in [0, 1]");
   std::vector<std::int64_t> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
-  if (fp::is_one(p)) return sorted.back();
-  // Smallest value whose empirical CDF reaches p.
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(p * static_cast<double>(sorted.size())));
-  return sorted[rank == 0 ? 0 : rank - 1];
+  return sorted_quantile(sorted, p);
 }
 
 double autocovariance(std::span<const double> values, std::size_t lag) {

@@ -1,10 +1,13 @@
 // Tests for the descriptive-statistics helpers.
 #include "stats/summary.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "random/rng.hpp"
 #include "support/error.hpp"
 
 namespace {
@@ -109,6 +112,48 @@ TEST(IntegerSummary, SingleValue) {
   EXPECT_EQ(s.mode, 42);
   EXPECT_EQ(s.median, 42);
   EXPECT_DOUBLE_EQ(s.sd, 0.0);
+}
+
+TEST(IntegerSummary, ModeAndMedianMatchBruteForceCounts) {
+  // Random samples with negative values, wide ranges and many ties: the
+  // mode is the most frequent value (smallest on ties) and the median the
+  // smallest value with at least half the sample at or below it.
+  srm::random::Rng rng(8);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto n = static_cast<std::size_t>(1 + rng.uniform_index(300));
+    const std::int64_t spread =
+        trial % 2 == 0 ? 20 : std::int64_t{1} << (10 + trial % 40);
+    std::vector<std::int64_t> v(n);
+    for (auto& x : v) {
+      x = static_cast<std::int64_t>(
+              rng.uniform_index(static_cast<std::uint64_t>(2 * spread + 1))) -
+          spread;
+    }
+    std::int64_t mode = 0;
+    std::size_t best = 0;
+    std::int64_t median = 0;
+    bool median_found = false;
+    for (const std::int64_t candidate : v) {
+      const auto equal = static_cast<std::size_t>(
+          std::count(v.begin(), v.end(), candidate));
+      if (equal > best || (equal == best && candidate < mode)) {
+        best = equal;
+        mode = candidate;
+      }
+      const auto at_most = static_cast<std::size_t>(std::count_if(
+          v.begin(), v.end(), [&](std::int64_t x) { return x <= candidate; }));
+      if (2 * at_most >= n && (!median_found || candidate < median)) {
+        median = candidate;
+        median_found = true;
+      }
+    }
+    const auto s = st::summarize_integers(v);
+    EXPECT_EQ(s.mode, mode) << "trial " << trial;
+    EXPECT_EQ(s.median, median) << "trial " << trial;
+    EXPECT_EQ(s.median, st::integer_quantile(v, 0.5)) << "trial " << trial;
+    EXPECT_EQ(s.min, *std::min_element(v.begin(), v.end()));
+    EXPECT_EQ(s.max, *std::max_element(v.begin(), v.end()));
+  }
 }
 
 TEST(IntegerQuantile, MatchesEmpiricalCdfConvention) {
