@@ -81,7 +81,7 @@ EllipticalDraw elliptical_slice(random::Rng& rng, std::span<double> x,
                                 std::span<const double> mean,
                                 std::span<const double> factor,
                                 VectorLogDensityRef log_likelihood,
-                                std::span<double> scratch, int max_shrink) {
+                                std::span<double> scratch) {
   const std::size_t d = x.size();
   SRM_EXPECTS(mean.size() == d && factor.size() == d * d &&
                   scratch.size() >= 2 * d,
@@ -104,7 +104,7 @@ EllipticalDraw elliptical_slice(random::Rng& rng, std::span<double> x,
   double theta = rng.uniform(0.0, kTwoPi);
   double left = theta - kTwoPi;
   double right = theta;
-  for (int iter = 0; iter < max_shrink; ++iter) {
+  for (int iter = 0; iter < SliceOptions{}.max_shrink; ++iter) {
     const double c = std::cos(theta);
     const double s = std::sin(theta);
     for (std::size_t i = 0; i < d; ++i) {

@@ -80,16 +80,15 @@ struct EllipticalDraw {
 /// x' = mean + (x - mean) cos theta + nu sin theta with theta uniform on a
 /// bracket that starts as [theta0 - 2 pi, theta0] and shrinks toward 0
 /// after each rejection, until log_likelihood(x') > log y; `x` then holds
-/// x'. After `max_shrink` rejections it keeps `x`. The proposal span passed
-/// to `log_likelihood` lives in `scratch`, and an accepted x' is the last
-/// point it was called at. RNG use: d normals, 2 uniforms, then one
-/// uniform per rejection.
+/// x'. After slice_sample's default `max_shrink` rejections it keeps `x`.
+/// The proposal span passed to `log_likelihood` lives in `scratch`, and an
+/// accepted x' is the last point it was called at. RNG use: d normals,
+/// 2 uniforms, then one uniform per rejection.
 EllipticalDraw elliptical_slice(random::Rng& rng, std::span<double> x,
                                 double log_likelihood_x,
                                 std::span<const double> mean,
                                 std::span<const double> factor,
                                 VectorLogDensityRef log_likelihood,
-                                std::span<double> scratch,
-                                int max_shrink = SliceOptions{}.max_shrink);
+                                std::span<double> scratch);
 
 }  // namespace srm::mcmc

@@ -135,7 +135,8 @@ TEST(EllipticalSlice, UsesDNormalsTwoUniformsAndOnePerShrink) {
 
 TEST(EllipticalSlice, KeepsTheStateWhenTheShrinkCapIsHit) {
   // A likelihood below every level away from the current point: after
-  // max_shrink rejections the state and its log likelihood are kept.
+  // slice_sample's max_shrink rejections the state and its log likelihood
+  // are kept.
   Rng rng(3);
   std::array<double, 2> x{0.25, -0.5};
   std::array<double, 4> scratch{};
@@ -145,11 +146,11 @@ TEST(EllipticalSlice, KeepsTheStateWhenTheShrinkCapIsHit) {
     return -1e9;
   };
   const auto draw =
-      elliptical_slice(rng, x, -0.75, kMean, kFactor, cliff, scratch, 7);
+      elliptical_slice(rng, x, -0.75, kMean, kFactor, cliff, scratch);
   EXPECT_FALSE(draw.moved);
   EXPECT_EQ(draw.log_likelihood, -0.75);
   EXPECT_EQ(x, (std::array<double, 2>{0.25, -0.5}));
-  EXPECT_EQ(evaluations, 7);
+  EXPECT_EQ(evaluations, srm::mcmc::SliceOptions{}.max_shrink);
 }
 
 TEST(EllipticalSlice, InvalidArgumentsThrow) {
